@@ -8,7 +8,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -49,7 +49,15 @@ SUBSET_ROLES = frozenset(
 def max_order() -> int:
     """Configured order cap; SEMIKIT_MAX_ORDER overrides the default."""
     env = os.environ.get("SEMIKIT_MAX_ORDER")
-    return int(env) if env else DEFAULT_MAX_ORDER
+    if not env:
+        return DEFAULT_MAX_ORDER
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0  # rejected below with every other non-positive value
+    if value < 1:
+        raise ValueError(f"SEMIKIT_MAX_ORDER must be a positive integer, got {env!r}")
+    return value
 
 
 class FiniteSemigroup:
@@ -112,10 +120,12 @@ class FiniteSemigroup:
 
 
 def associativity_witness(table: np.ndarray):
-    """First lexicographic triple (a,b,c) violating associativity, or None.
+    """A triple (a,b,c) violating associativity, or None.
 
-    Direct blockwise O(n^3) scan up to DIRECT_CHECK_LIMIT; Light's test on a
-    greedy generating set above that.
+    Up to DIRECT_CHECK_LIMIT a direct blockwise O(n^3) scan returns the
+    lexicographically first such triple.  Above it, Light's test on a greedy
+    generating set returns a triple (a, g, b) whose middle element g is a
+    generator.
     """
     n = table.shape[0]
     if n <= DIRECT_CHECK_LIMIT:
@@ -294,7 +304,10 @@ class SemigroupMorphism:
 
 def from_table(n: int, entries, name: Optional[str] = None) -> FiniteSemigroup:
     """Validate an n x n Cayley table and wrap it as a FiniteSemigroup."""
-    arr = np.asarray(entries, dtype=np.int64)
+    try:
+        arr = np.asarray(entries, dtype=np.int64)
+    except OverflowError:
+        raise OutOfRange(f"table entries must lie in [0,{n})") from None
     if arr.shape != (n, n):
         raise ValueError(f"expected shape ({n},{n}), got {arr.shape}")
     return FiniteSemigroup(arr, name=name)
@@ -491,18 +504,25 @@ def dumps_sg(S: FiniteSemigroup) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_rows(lines: Sequence[str], width: int, what: str) -> list[list[int]]:
+    """Parse text lines of exactly ``width`` whitespace-separated integers."""
+    rows = []
+    for i, line in enumerate(lines):
+        row = [int(tok) for tok in line.split()]
+        if len(row) != width:
+            raise ValueError(f"{what} row {i} has {len(row)} entries, expected {width}")
+        rows.append(row)
+    return rows
+
+
 def loads_sg(text: str, name: Optional[str] = None) -> FiniteSemigroup:
     rows = [line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
     if not rows:
         raise ValueError("empty .sg document")
     n = int(rows[0].strip())
-    if len(rows) < n + 1:
+    if len(rows) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(rows) - 1}")
-    entries = [[int(tok) for tok in rows[1 + i].split()] for i in range(n)]
-    for i, row in enumerate(entries):
-        if len(row) != n:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-    return from_table(n, entries, name=name)
+    return from_table(n, _int_rows(rows[1:], n, "table"), name=name)
 
 
 def write_sg(S: FiniteSemigroup, path) -> None:

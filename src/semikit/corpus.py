@@ -15,7 +15,6 @@ import numpy as np
 from .core import (
     FiniteSemigroup,
     SubsetHandle,
-    closure,
     direct_product,
     from_table,
     idempotents,
@@ -27,6 +26,8 @@ from .core import (
 )
 from .errors import CensusLimitExceeded, SemigroupError, UnknownGenerator
 from .greens import (
+    _classes_naive,
+    _two_sided_ideal_members,
     greens_structure,
     greens_restriction_check,
     is_regular,
@@ -35,6 +36,7 @@ from .greens import (
 from .ideals import (
     IDEAL_ENUM_LIMIT,
     enumerate_ideals,
+    idempotent_poset,
     kernel,
     minimal_ideal_equivalences,
     swelling_check,
@@ -232,7 +234,7 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
 # census up to isomorphism
 
 
-def _enumerate_associative_python(n: int) -> list[tuple[int, ...]]:
+def _enumerate_associative(n: int) -> list[tuple[int, ...]]:
     """DFS over Cayley tables with incremental associativity pruning."""
     total = n * n
     t = [-1] * total
@@ -265,72 +267,6 @@ def _enumerate_associative_python(n: int) -> list[tuple[int, ...]]:
 
     rec(0)
     return out
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _enumerate_associative_numba(n, out):  # pragma: no cover - jitted
-        total = n * n
-        t = np.full(total, -1, dtype=np.int64)
-        choice = np.zeros(total, dtype=np.int64)
-        count = 0
-        pos = 0
-        while pos >= 0:
-            if pos == total:
-                if count < out.shape[0]:
-                    out[count, :] = t
-                count += 1
-                pos -= 1
-                choice[pos] += 1
-                continue
-            v = choice[pos]
-            if v >= n:
-                choice[pos] = 0
-                t[pos] = -1
-                pos -= 1
-                if pos >= 0:
-                    choice[pos] += 1
-                continue
-            t[pos] = v
-            ok = True
-            for a in range(n):
-                if not ok:
-                    break
-                for b in range(n):
-                    if not ok:
-                        break
-                    ab = t[a * n + b]
-                    if ab < 0:
-                        continue
-                    for c in range(n):
-                        bc = t[b * n + c]
-                        if bc < 0:
-                            continue
-                        x = t[ab * n + c]
-                        y = t[a * n + bc]
-                        if x >= 0 and y >= 0 and x != y:
-                            ok = False
-                            break
-            if ok:
-                pos += 1
-            else:
-                t[pos] = -1
-                choice[pos] += 1
-        return count
-
-    def _enumerate_associative(n: int) -> list[tuple[int, ...]]:
-        capacity = 200_000
-        out = np.zeros((capacity, n * n), dtype=np.int64)
-        count = _enumerate_associative_numba(n, out)
-        if count > capacity:  # retry with room to spare
-            out = np.zeros((count, n * n), dtype=np.int64)
-            count = _enumerate_associative_numba(n, out)
-        return [tuple(int(v) for v in row) for row in out[:count]]
-
-except ImportError:  # pragma: no cover
-    _enumerate_associative = _enumerate_associative_python
 
 
 def canonical_form(S: FiniteSemigroup, fold_opposites: bool = False) -> tuple[int, ...]:
@@ -486,17 +422,31 @@ def _check_idempotent_existence(S):
 
 
 def _check_kernel(S):
-    report = kernel(S)  # raises on any internal inconsistency
+    report = kernel(S)
+    K = report.kernel.members
+    for x in K:
+        if tuple(_two_sided_ideal_members(S.table, x)) != K:
+            return f"kernel not minimal: {x} generates a smaller ideal"
+    if not report.idempotents:
+        return "kernel has no idempotent"
+    for e, verdict in report.witnesses.items():
+        if not all(verdict):
+            return f"minimal-ideal proposition fails at e={e} in E(K): {tuple(verdict)}"
+    for part, side in ((report.min_left, "left"), (report.min_right, "right")):
+        members = [x for h in part for x in h.members]
+        if sorted(members) != list(K):
+            return f"minimal {side} ideals do not partition K"
     if S.order <= IDEAL_ENUM_LIMIT:
-        K = report.kernel.member_set
         for ideal in enumerate_ideals(S):
-            if not K <= set(ideal):
+            if not set(K) <= set(ideal):
                 return f"ideal {ideal} does not contain K"
 
 
 def _check_minimal_ideal_equivalences(S):
     for e in idempotents(S).members:
-        minimal_ideal_equivalences(S, e)  # raises when the four disagree
+        verdict = minimal_ideal_equivalences(S, e)
+        if len(set(verdict)) != 1:
+            return f"minimal-ideal equivalences disagree at e={e}: {tuple(verdict)}"
 
 
 def _check_cancellative_iff_group(S):
@@ -529,7 +479,16 @@ def _check_swelling(S):
 
 
 def _check_d_composition(S):
-    greens_structure(S)  # egg-box completeness enforces D = RL = LR
+    G = greens_structure(S)
+    if not np.array_equal(G.d_class, _classes_naive(S.table, "j")):
+        return "D != J"
+    # every egg-box cell nonempty <=> D = RL = LR inside each D-class
+    for box in G.eggbox:
+        sizes = {len(cell) for row in box.cells for cell in row}
+        if 0 in sizes:
+            return f"empty egg-box cell in D-class {box.d_id}"
+        if len(sizes) != 1:
+            return f"unequal H-class sizes inside D-class {box.d_id}"
 
 
 def _check_h_meet(S):
@@ -547,6 +506,8 @@ def _check_kernel_rees_roundtrip(S):
     sub, _ = subsemigroup_table(S, K.members)
     if not is_completely_simple(sub):
         return "kernel not completely simple"
+    if not idempotent_poset(sub).primitives:
+        return "kernel has no primitive idempotent"
     rees_decompose(sub)  # raises unless phi is an isomorphism
 
 

@@ -6,16 +6,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .core import FiniteSemigroup, SubsetHandle, idempotents, is_group, subsemigroup_table
-from .errors import InvariantViolation, NotAnHClass, NotRegularSubsemigroup
-
-# Below this order the naive principal-ideal comparison runs; above it the
-# reachability-SCC method does.  Both are implemented and tested against
-# each other on small instances.
-NAIVE_LIMIT = 64
+from .core import FiniteSemigroup, SubsetHandle, idempotents, subsemigroup_table
+from .errors import NotAnHClass, NotRegularSubsemigroup
 
 
 class PrincipalIdeals(NamedTuple):
@@ -64,6 +57,9 @@ def _canonical_labels(raw: np.ndarray) -> np.ndarray:
 
 
 def _classes_naive(T: np.ndarray, kind: str) -> np.ndarray:
+    """Label elements by their principal ideal of the given kind, so two
+    elements share a label iff they generate the same ideal.  Labels are
+    handed out in element order, so classes are numbered by least member."""
     n = T.shape[0]
     fn = {
         "l": _left_ideal_members,
@@ -75,24 +71,7 @@ def _classes_naive(T: np.ndarray, kind: str) -> np.ndarray:
     for s in range(n):
         key = fn(T, s).tobytes()
         labels[s] = keys.setdefault(key, len(keys))
-    return _canonical_labels(labels)
-
-
-def _classes_scc(T: np.ndarray, kind: str) -> np.ndarray:
-    """Strongly connected components of the translation-reachability graph."""
-    n = T.shape[0]
-    cols = np.repeat(np.arange(n), n)
-    if kind == "l":
-        rows_idx, cols_idx = cols, T.T.ravel()  # b -> x*b
-    elif kind == "r":
-        rows_idx, cols_idx = np.repeat(np.arange(n), n), T.ravel()  # b -> b*x
-    else:  # j: both translation kinds
-        rows_idx = np.concatenate([cols, np.repeat(np.arange(n), n)])
-        cols_idx = np.concatenate([T.T.ravel(), T.ravel()])
-    data = np.ones(len(rows_idx), dtype=np.int8)
-    graph = csr_matrix((data, (rows_idx, cols_idx)), shape=(n, n))
-    _, raw = connected_components(graph, directed=True, connection="strong")
-    return _canonical_labels(np.asarray(raw, dtype=np.int64))
+    return labels
 
 
 def _pair_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,14 +108,6 @@ def _members_of(labels: np.ndarray) -> list[tuple[int, ...]]:
     for x, c in enumerate(labels):
         out[c].append(x)
     return [tuple(m) for m in out]
-
-
-def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
-    seen: dict[int, int] = {}
-    for f, c in zip(fine, coarse):
-        if seen.setdefault(int(f), int(c)) != c:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -184,28 +155,17 @@ class GreensStructure:
         }
 
 
-def greens_structure(S: FiniteSemigroup, method: Optional[str] = None) -> GreensStructure:
+def greens_structure(S: FiniteSemigroup) -> GreensStructure:
     """Compute the five Green partitions and the egg-box grids.
 
-    method: "naive" (principal-ideal set comparison), "scc" (translation
-    reachability), or None to pick by order.  The two agree; their equality
-    on small instances is a test.
+    L and R compare principal one-sided ideals; H is their meet and D their
+    join.  On a finite semigroup D = J, so the J partition is D's.
     """
     T = S.table
-    n = S.order
-    if method is None:
-        method = "naive" if n <= NAIVE_LIMIT else "scc"
-    classes = _classes_naive if method == "naive" else _classes_scc
-    l = classes(T, "l")
-    r = classes(T, "r")
-    j = classes(T, "j")
+    l = _classes_naive(T, "l")
+    r = _classes_naive(T, "r")
     h = _pair_labels(l, r)
     d = _join_labels(l, r)
-    if not np.array_equal(d, _canonical_labels(j)):
-        raise InvariantViolation("J != D on a finite semigroup")
-    for fine, coarse in ((h, l), (h, r), (l, d), (r, d), (d, j)):
-        if not _refines(fine, coarse):
-            raise InvariantViolation("Green refinement chain H<=L,R<=D<=J broken")
 
     eggboxes = []
     d_members = _members_of(d)
@@ -215,36 +175,25 @@ def greens_structure(S: FiniteSemigroup, method: Optional[str] = None) -> Greens
         grid: dict[tuple[int, int], list[int]] = {}
         for x in dm:
             grid.setdefault((int(r[x]), int(l[x])), []).append(x)
-        # every cell nonempty <=> D = RL = LR inside this D-class
-        cells = []
-        for ri in r_ids:
-            row = []
-            for li in l_ids:
-                cell = grid.get((ri, li))
-                if not cell:
-                    raise InvariantViolation(
-                        f"empty egg-box cell in D-class {d_id}: R L composition differs"
-                    )
-                row.append(tuple(cell))
-            cells.append(tuple(row))
-        sizes = {len(c) for row in cells for c in row}
-        if len(sizes) != 1:
-            raise InvariantViolation(f"unequal H-class sizes inside D-class {d_id}")
-        eggboxes.append(EggBox(d_id, tuple(r_ids), tuple(l_ids), tuple(cells)))
+        cells = tuple(
+            tuple(tuple(grid.get((ri, li), ())) for li in l_ids) for ri in r_ids
+        )
+        eggboxes.append(EggBox(d_id, tuple(r_ids), tuple(l_ids), cells))
 
     d_order = _d_class_order(T, d, d_members)
+    d_classes = tuple(tuple(m) for m in d_members)
     return GreensStructure(
         parent=S,
         l_class=l,
         r_class=r,
-        j_class=j,
+        j_class=d,
         h_class=h,
         d_class=d,
         l_classes=tuple(_members_of(l)),
         r_classes=tuple(_members_of(r)),
-        j_classes=tuple(_members_of(j)),
+        j_classes=d_classes,
         h_classes=tuple(_members_of(h)),
-        d_classes=tuple(tuple(m) for m in d_members),
+        d_classes=d_classes,
         eggbox=tuple(eggboxes),
         d_order=d_order,
     )
@@ -312,24 +261,13 @@ def _hasse(order_pairs: Sequence[tuple[int, int]], k: int) -> list[tuple[int, in
 
 
 def h_class_is_group(S: FiniteSemigroup, h: SubsetHandle) -> bool:
-    """True iff the H-class contains an idempotent, iff it is a group.
-
-    Both characterizations are computed and asserted equal.
-    """
+    """True iff the H-class contains an idempotent, iff it is a group."""
     G = greens_structure(S)
     members = set(h.members)
     ids = {int(G.h_class[x]) for x in members}
     if len(ids) != 1 or set(G.h_classes[ids.pop()]) != members:
         raise NotAnHClass(f"{sorted(members)} is not an H-class")
-    has_idem = any(S.product(x, x) == x for x in members)
-    closed = all(S.product(a, b) in members for a in members for b in members)
-    forms_group = False
-    if closed:
-        sub, _ = subsemigroup_table(S, sorted(members))
-        forms_group = is_group(sub)
-    if has_idem != forms_group:
-        raise InvariantViolation("H-class group characterizations disagree")
-    return has_idem
+    return any(S.product(x, x) == x for x in members)
 
 
 def is_regular(S: FiniteSemigroup, s: int) -> bool:
@@ -375,11 +313,10 @@ class StabilityResult(NamedTuple):
     witness: Optional[tuple[int, int]]
 
 
-def is_stable(S: FiniteSemigroup, G: Optional[GreensStructure] = None) -> StabilityResult:
+def is_stable(S: FiniteSemigroup) -> StabilityResult:
     """Right: s J sx => s R sx; left: s J xs => s L xs.  Finite semigroups
     are stable, so a False here signals an internal bug."""
-    if G is None:
-        G = greens_structure(S)
+    G = greens_structure(S)
     T = S.table
     n = S.order
     right = True

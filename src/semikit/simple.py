@@ -4,7 +4,6 @@ subsemigroup counting bound."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -14,42 +13,40 @@ from .core import (
     FiniteSemigroup,
     SemigroupMorphism,
     SubsetHandle,
-    closure,
+    _closure_mask,
+    _int_rows,
+    from_table,
     idempotents,
     is_group,
     is_monoid,
+    max_order,
     subsemigroup_table,
 )
 from .errors import (
     BadSandwichEntry,
     InvariantViolation,
     NotAGroup,
-    NotASubsemigroup,
     NotCompletelySimple,
     NotIdempotent,
+    Overflow,
     SearchCapExceeded,
 )
-from .greens import _two_sided_ideal_members, greens_structure
-from .ideals import idempotent_poset, kernel_members
+from .greens import greens_structure
+from .ideals import kernel_members
 
 DEFAULT_SEARCH_CAP = 16
 
 
 def is_simple(S: FiniteSemigroup) -> bool:
-    """No proper two-sided ideal: S^1 s S^1 = S for every s."""
-    T = S.table
-    n = S.order
-    return all(len(_two_sided_ideal_members(T, s)) == n for s in range(n))
+    """No proper two-sided ideal: the kernel is all of S."""
+    return len(kernel_members(S)) == S.order
 
 
 def is_completely_simple(S: FiniteSemigroup) -> bool:
-    """Simple with a primitive idempotent; cross-checked against
-    kernel(S) = S."""
-    simple = is_simple(S)
-    result = simple and len(idempotent_poset(S).primitives) > 0
-    if result != (len(kernel_members(S)) == S.order):
-        raise InvariantViolation("complete-simplicity and kernel computation disagree")
-    return result
+    """Simple with a primitive idempotent.  On a finite semigroup every
+    simple semigroup qualifies: E(S) is finite and nonempty, so the natural
+    order on it has a minimal element."""
+    return is_simple(S)
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,18 @@ def rees_construct(
         raise ValueError("i_size and lambda_size must be positive")
     if not is_group(group):
         raise NotAGroup("Rees matrix semigroups require a group component")
-    P = np.asarray(sandwich, dtype=np.int64)
+    try:
+        P = np.asarray(sandwich, dtype=np.int64)
+    except OverflowError:
+        raise BadSandwichEntry(f"sandwich entries must lie in [0,{group.order})") from None
     if P.shape != (lambda_size, i_size):
         raise ValueError(f"sandwich must be {lambda_size}x{i_size}, got {P.shape}")
     if P.size and (P.min() < 0 or P.max() >= group.order):
         raise BadSandwichEntry(f"sandwich entries must lie in [0,{group.order})")
     ng = group.order
     m = i_size * ng * lambda_size
+    if m > max_order():
+        raise Overflow(f"order {m} exceeds configured maximum {max_order()}")
     GT = group.table
     table = np.empty((m, m), dtype=np.int64)
     for i in range(i_size):
@@ -111,10 +113,7 @@ def rees_construct(
                             lambda_size
                         )
     realized = FiniteSemigroup(table, name=name)
-    rms = ReesMatrixSemigroup(i_size, lambda_size, group, P, realized)
-    if not is_completely_simple(realized):
-        raise InvariantViolation("realized Rees matrix semigroup is not completely simple")
-    return rms
+    return ReesMatrixSemigroup(i_size, lambda_size, group, P, realized)
 
 
 @dataclass(frozen=True)
@@ -323,26 +322,25 @@ def enumerate_subsemigroups(
     """
     if S.order > cap:
         raise SearchCapExceeded(f"order {S.order} exceeds cap {cap}")
-    found: dict[tuple[int, ...], SubsetHandle] = {}
-    frontier = []
-    for x in range(S.order):
-        h = closure(S, [x])
-        if h.members not in found:
-            found[h.members] = h
-            frontier.append(h.members)
+    T = S.table
+
+    def generated(gens) -> tuple[int, ...]:
+        return tuple(int(x) for x in np.flatnonzero(_closure_mask(T, gens)))
+
+    found: set[tuple[int, ...]] = set()
+    frontier: list[tuple[int, ...]] = [()]
     while frontier:
         base = frontier.pop()
         for x in range(S.order):
-            if x in found[base].member_set:
+            if x in base:
                 continue
-            h = closure(S, list(base) + [x])
-            if h.members not in found:
-                found[h.members] = SubsetHandle(S, h.members, "subsemigroup")
-                frontier.append(h.members)
-    result = sorted(found.values(), key=lambda h: (len(h), h.members))
+            members = generated(base + (x,))
+            if members not in found:
+                found.add(members)
+                frontier.append(members)
     result = [
-        h if h.role == "subsemigroup" else SubsetHandle(S, h.members, "subsemigroup")
-        for h in result
+        SubsetHandle(S, members, "subsemigroup")
+        for members in sorted(found, key=lambda m: (len(m), m))
     ]
     if verify and is_completely_simple(S):
         _verify_subsemigroup_census(S, result)
@@ -394,21 +392,32 @@ def dumps_rms(rms: ReesMatrixSemigroup) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rms_header(line: str, key: str) -> int:
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != key:
+        raise ValueError(f"expected '{key} <int>', got {line!r}")
+    return int(parts[1])
+
+
 def loads_rms(text: str) -> ReesMatrixSemigroup:
     rows = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(rows) < 4 or not rows[0].startswith("i_size") or not rows[1].startswith("lambda_size"):
+    if len(rows) < 4:
         raise ValueError("malformed .rms document")
-    i_size = int(rows[0].split()[1])
-    lambda_size = int(rows[1].split()[1])
+    i_size = _rms_header(rows[0], "i_size")
+    lambda_size = _rms_header(rows[1], "lambda_size")
     if rows[2] != "group":
         raise ValueError("expected 'group' section")
     ng = int(rows[3])
-    entries = [[int(tok) for tok in rows[4 + i].split()] for i in range(ng)]
-    group = FiniteSemigroup(np.asarray(entries, dtype=np.int64))
+    group_rows = rows[4 : 4 + ng]
+    if len(group_rows) != ng:
+        raise ValueError(f"expected {ng} group table rows, found {len(group_rows)}")
+    group = from_table(ng, _int_rows(group_rows, ng, "group table"))
     rest = rows[4 + ng :]
     if not rest or rest[0] != "sandwich":
         raise ValueError("expected 'sandwich' section")
-    sandwich = [[int(tok) for tok in line.split()] for line in rest[1 : 1 + lambda_size]]
+    if len(rest) - 1 != lambda_size:
+        raise ValueError(f"expected {lambda_size} sandwich rows, found {len(rest) - 1}")
+    sandwich = _int_rows(rest[1:], i_size, "sandwich")
     return rees_construct(i_size, lambda_size, group, sandwich)
 
 

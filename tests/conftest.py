@@ -1,6 +1,20 @@
 import pytest
 
 from semikit import gen_standard
+from semikit.corpus import census, gen_transformation_closure
+
+
+@pytest.fixture(scope="session")
+def census4():
+    """All 218 semigroups of order <= 4 up to isomorphism."""
+    return census(4)
+
+
+@pytest.fixture(scope="session")
+def oracle_instances(census4):
+    """The order-<=4 census plus seeded transformation semigroups: the
+    instances on which fast paths are checked against their oracles."""
+    return list(census4) + [gen_transformation_closure(4, 2, s) for s in range(5)]
 
 
 @pytest.fixture

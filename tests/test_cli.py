@@ -135,3 +135,11 @@ def test_env_max_order(tmp_path, z3, monkeypatch):
 
     with pytest.raises(Overflow):
         sk.from_table(3, z3.table)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_env_max_order_invalid(z3_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("SEMIKIT_MAX_ORDER", value)
+    assert main(["validate", z3_file]) == 2
+    err = capsys.readouterr().err
+    assert f"SEMIKIT_MAX_ORDER must be a positive integer, got '{value}'" in err

@@ -185,3 +185,16 @@ def test_subsemigroup_table(t2):
     assert sub.order == 2
     assert incl.map == (2, 3)
     assert incl.is_homomorphism
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1\n0\n5 5 5\n",  # a row after the table
+        "2\n0 0\n",  # a row missing
+        "2\n0 0\n0\n",  # a short row
+    ],
+)
+def test_loads_sg_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        loads_sg(text)

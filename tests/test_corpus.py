@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import semikit as sk
+from semikit import corpus as corpus_mod
 from semikit.corpus import (
     CorpusSpec,
     SplitMix64,
-    _enumerate_associative_python,
+    _enumerate_associative,
     build_corpus,
     canonical_form,
     census,
@@ -76,18 +79,13 @@ def test_census_counts():
     counts = {}
     for S in census(3):
         counts[S.order] = counts.get(S.order, 0) + 1
-    # pinned by the project's own brute-force oracle run
+    # semigroups of order n up to isomorphism: OEIS A023814
     assert counts == {1: 1, 2: 5, 3: 24}
 
 
-def test_census_against_python_oracle():
-    # the jitted enumerator and the plain-python one agree on labeled tables
-    for n in (1, 2, 3):
-        from semikit.corpus import _enumerate_associative
-
-        assert sorted(_enumerate_associative(n)) == sorted(
-            _enumerate_associative_python(n)
-        )
+def test_labelled_census_counts_match_oeis():
+    # associative labelled tables of order n: OEIS A023815
+    assert [len(_enumerate_associative(n)) for n in (1, 2, 3, 4)] == [1, 8, 113, 3492]
 
 
 def test_census_limit():
@@ -160,3 +158,17 @@ def test_verify_report_json_roundtrip(z3):
     assert doc["summary"]["fail"] == 0
     assert all(set(e) >= {"check", "status", "witness"} for e in doc["entries"])
     assert doc["rng_algorithm"] == "splitmix64"
+
+
+def test_verify_reports_d_not_equal_j(monkeypatch, t2):
+    # the D = J check lives in the verify harness: a structure whose D
+    # partition is not J must be recorded as a failure, not pass silently
+    real = corpus_mod.greens_structure
+
+    def broken(S):
+        return dataclasses.replace(real(S), d_class=np.arange(S.order))
+
+    monkeypatch.setattr(corpus_mod, "greens_structure", broken)
+    report = verify_suite([("t2", t2)])
+    failed = {e.check: e.witness for e in report.failures}
+    assert failed.get("d_equals_rl_equals_lr") == "D != J"

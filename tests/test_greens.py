@@ -46,12 +46,33 @@ def test_greens_t2(t2):
     assert (2, 3) in G.l_classes
 
 
-def test_greens_methods_agree(z3, l2, t2, pb, rb22):
-    for S in (z3, l2, t2, pb, rb22):
-        naive = greens_structure(S, method="naive")
-        scc = greens_structure(S, method="scc")
-        for attr in ("l_class", "r_class", "j_class", "h_class", "d_class"):
-            assert np.array_equal(getattr(naive, attr), getattr(scc, attr)), attr
+def principal_ideal_partition(S, kind):
+    """Labels from principal ideals built as Python sets: S^1 s for "l",
+    s S^1 for "r", S^1 s S^1 for "j"; classes are numbered by least member."""
+    n = S.order
+    labels = {}
+    out = []
+    for s in range(n):
+        if kind == "l":
+            ideal = {s} | {S.product(x, s) for x in range(n)}
+        else:
+            ideal = {s} | {S.product(s, x) for x in range(n)}
+            if kind == "j":
+                ideal |= {S.product(x, y) for x in range(n) for y in ideal}
+        out.append(labels.setdefault(frozenset(ideal), len(labels)))
+    return np.asarray(out)
+
+
+def test_greens_methods_agree(oracle_instances):
+    # production L, R and D (the join of L and R) against the partitions by
+    # principal ideals; D must equal J
+    for S in oracle_instances:
+        G = greens_structure(S)
+        assert np.array_equal(G.l_class, principal_ideal_partition(S, "l")), S.name
+        assert np.array_equal(G.r_class, principal_ideal_partition(S, "r")), S.name
+        j = principal_ideal_partition(S, "j")
+        assert np.array_equal(G.d_class, j), S.name
+        assert np.array_equal(G.j_class, j), S.name
 
 
 def test_commutative_all_relations_equal(z3):
@@ -108,6 +129,14 @@ def test_h_class_is_group(z3, t2, pb):
 def test_h_class_is_group_rejects_non_h_class(t2):
     with pytest.raises(NotAnHClass):
         sk.h_class_is_group(t2, sk.SubsetHandle(t2, (0, 2)))
+
+
+def test_h_class_idempotent_iff_group(census4):
+    for S in census4:
+        for members in greens_structure(S).h_classes:
+            closed = all(S.product(a, b) in members for a in members for b in members)
+            forms_group = closed and sk.is_group(sk.subsemigroup_table(S, members)[0])
+            assert sk.h_class_is_group(S, sk.SubsetHandle(S, members)) == forms_group
 
 
 def test_is_regular(z3, t2, pb):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,23 @@ from semikit.ideals import (
     kernel_members,
     minimal_ideal_equivalences,
 )
+
+
+def exhaustive_is_minimal(S, members, side):
+    """Oracle: a one-sided ideal is minimal iff no proper nonempty subset
+    is itself a one-sided ideal on the same side."""
+    n = S.order
+    mem = sorted(set(int(m) for m in members))
+
+    def is_ideal(sub):
+        if side == "left":
+            return all(S.product(x, a) in sub for x in range(n) for a in sub)
+        return all(S.product(a, x) in sub for x in range(n) for a in sub)
+
+    assert is_ideal(set(mem))
+    return not any(
+        is_ideal(set(sub)) for size in range(1, len(mem)) for sub in combinations(mem, size)
+    )
 
 
 def test_kernel_group_is_simple(z3):
@@ -68,9 +87,9 @@ def test_minimality_methods_agree(t2, pb, rb22, z3):
             se = sorted(set(int(x) for x in S.table[:, e]))
             es = sorted(set(int(x) for x in S.table[e, :]))
             for members, side in ((se, "left"), (es, "right")):
-                brute = is_minimal_one_sided_ideal(S, members, side, "exhaustive")
-                crit = is_minimal_one_sided_ideal(S, members, side, "criterion")
-                assert brute == crit
+                assert exhaustive_is_minimal(S, members, side) == (
+                    is_minimal_one_sided_ideal(S, members, side)
+                )
 
 
 def test_minimal_left_ideals_have_stated_form(t2, pb):
@@ -111,6 +130,15 @@ def test_idempotent_poset_rb22_antichain(rb22):
     poset = sk.idempotent_poset(rb22)
     assert poset.primitives == (0, 1, 2, 3)
     assert np.array_equal(poset.leq, np.eye(4, dtype=bool))
+
+
+def test_idempotent_poset_is_partial_order(census4):
+    for S in census4:
+        leq = sk.idempotent_poset(S).leq
+        k = leq.shape[0]
+        assert leq.diagonal().all()
+        assert not (leq & leq.T & ~np.eye(k, dtype=bool)).any()
+        assert not ((leq.astype(int) @ leq.astype(int) > 0) & ~leq).any()
 
 
 def test_rees_quotient_pb(pb):

@@ -1,12 +1,14 @@
 """Property-based checks over random tables and corpus instances."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semikit as sk
+from semikit import core
 from semikit.core import associativity_witness
-from semikit.corpus import census
-from semikit.errors import NotAssociative
+from semikit.corpus import census, gen_random_rees
+from semikit.errors import NotAssociative, SemigroupError
+from semikit.simple import dumps_rms, loads_rms
 
 
 def brute_associative(table):
@@ -122,3 +124,52 @@ def test_relabeling_preserves_validation(data):
     inv[p] = np.arange(n)
     relab = p[S.table[np.ix_(inv, inv)]]
     assert associativity_witness(relab) is None
+
+
+@given(random_tables(max_n=5))
+@settings(max_examples=300, deadline=None)
+def test_light_witness_agrees_with_direct_scan(tn):
+    n, table = tn
+    arr = np.asarray(table, dtype=np.int64)
+    witness = core._light_witness(arr)
+    assert (witness is None) == (associativity_witness(arr) is None)
+    if witness is not None:
+        a, g, b = witness
+        assert table[table[a][g]][b] != table[a][table[g][b]]
+
+
+_DOCUMENTS = (
+    dumps_rms(gen_random_rees(2, 1, "z2", seed=3)).splitlines(),
+    sk.dumps_sg(sk.gen_standard("cyclic", 2)).splitlines(),
+)
+_LINES = st.lists(
+    st.sampled_from(["0", "1", "2", "-1", str(2**70), "x", "group", "sandwich", "i_size"]),
+    max_size=3,
+).map(" ".join)
+
+
+@st.composite
+def near_documents(draw):
+    """A valid .rms or .sg document, truncated, with lines dropped,
+    duplicated or replaced."""
+    lines = draw(st.sampled_from(_DOCUMENTS))
+    out = []
+    for line in lines[: draw(st.integers(0, len(lines)))]:
+        op = draw(st.sampled_from(("keep", "keep", "drop", "dup", "replace")))
+        if op == "replace":
+            out.append(draw(_LINES))
+        elif op != "drop":
+            out.extend([line] * (2 if op == "dup" else 1))
+    return "\n".join(out)
+
+
+@given(near_documents())
+@example("1\n" + str(2**70))
+@example("i_size 1\nlambda_size 1\ngroup\n1\n0\nsandwich\n" + str(2**70))
+@settings(max_examples=300, deadline=None)
+def test_text_loaders_parse_or_raise_input_errors(text):
+    for loads in (sk.loads_sg, loads_rms):
+        try:
+            loads(text)
+        except (SemigroupError, ValueError):
+            pass

@@ -8,6 +8,7 @@ from semikit.errors import (
     NotAGroup,
     NotASubsemigroup,
     NotCompletelySimple,
+    Overflow,
     SearchCapExceeded,
 )
 from semikit.simple import dumps_rms, loads_rms, normalize_sandwich
@@ -44,6 +45,13 @@ def test_rees_construct_rejects_non_group(l2):
 def test_rees_construct_rejects_bad_sandwich(z3):
     with pytest.raises(BadSandwichEntry):
         sk.rees_construct(1, 1, z3, [[3]])
+
+
+def test_rees_construct_rejects_order_above_cap(z3, monkeypatch):
+    # refused before the |I||G||Lambda|-square table is allocated
+    monkeypatch.setenv("SEMIKIT_MAX_ORDER", "5")
+    with pytest.raises(Overflow):
+        sk.rees_construct(2, 1, z3, [[0, 0]])
 
 
 def test_rees_decompose_group(z3):
@@ -219,3 +227,19 @@ def test_rms_roundtrip_bit_exact(tmp_path):
     assert dumps_rms(back) == path.read_text()
     assert np.array_equal(back.sandwich, rms.sandwich)
     assert np.array_equal(back.realized.table, rms.realized.table)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "i_size 1\nlambda_size 1\ngroup\n2\n0 1\n",  # group table cut short
+        "i_size 1\nlambda_size 1\ngroup\n1\n0\nsandwich\n",  # no sandwich rows
+        "i_size 2\nlambda_size 1\ngroup\n1\n0\nsandwich\n0\n",  # short sandwich row
+        "i_size 1\nlambda_size 1\ngroup\n2\n0 1\n1\nsandwich\n0\n",  # short group row
+        "i_size 1\nlambda_size 1\ngroup\n1\n0\nsandwich\n0\n0\n",  # extra sandwich row
+        "i_size\nlambda_size 1\ngroup\n1\n0\nsandwich\n0\n",  # header without value
+    ],
+)
+def test_loads_rms_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        loads_rms(text)
