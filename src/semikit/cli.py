@@ -174,6 +174,8 @@ def _cmd_gen(args) -> int:
     built = corpus_mod.build_corpus(
         corpus_mod.CorpusSpec(generators=(args.descriptor,))
     )
+    if not built:
+        raise ValueError(f"descriptor {args.descriptor!r} generates no semigroup")
     _, S = built[0]
     write_sg(S, args.output)
     _emit(args, {"order": S.order, "path": args.output}, f"wrote order-{S.order} table to {args.output}")

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     EmptyGenerators,
-    InvariantViolation,
     NotAnIdeal,
     NotAssociative,
     NotASubsemigroup,
@@ -363,8 +362,6 @@ def closure(S: FiniteSemigroup, gens: Sequence[int]) -> SubsetHandle:
 def idempotents(S: FiniteSemigroup) -> SubsetHandle:
     """E(S) = {e : e*e = e}; nonempty for every finite semigroup."""
     diag = np.flatnonzero(S.table[np.arange(S.order), np.arange(S.order)] == np.arange(S.order))
-    if diag.size == 0:
-        raise InvariantViolation("finite semigroup without idempotents")
     return SubsetHandle(S, tuple(diag), "idempotents")
 
 
@@ -413,7 +410,7 @@ def is_monoid(S: FiniteSemigroup) -> Optional[int]:
 
 
 def is_group(S: FiniteSemigroup) -> bool:
-    e = is_monoid(S)
+    e = S.identity
     if e is None:
         return False
     T = S.table
@@ -462,14 +459,19 @@ def monogenic(S: FiniteSemigroup, s: int) -> MonogenicResult:
     period = k - index
     k_idem = period * ((index + period - 1) // period)
     e = powers[k_idem - 1]
-    if S.product(e, e) != e:
-        raise InvariantViolation(f"monogenic idempotent computation failed at s={s}")
     handle = SubsetHandle(S, tuple(powers), "monogenic")
     return MonogenicResult(handle, index, period, e)
 
 
 # ---------------------------------------------------------------------------
 # re-tabling
+
+
+def _positions(n: int, members: np.ndarray) -> np.ndarray:
+    """pos[members[k]] = k, and -1 at every other index of [0, n)."""
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[members] = np.arange(members.size)
+    return pos
 
 
 def subsemigroup_table(S: FiniteSemigroup, members: Sequence[int]):
@@ -480,14 +482,14 @@ def subsemigroup_table(S: FiniteSemigroup, members: Sequence[int]):
     mem = sorted(set(int(m) for m in members))
     if not mem:
         raise NotASubsemigroup("empty set cannot be re-tabled")
-    pos = {m: i for i, m in enumerate(mem)}
-    table = np.empty((len(mem), len(mem)), dtype=np.int64)
-    for i, a in enumerate(mem):
-        for j, b in enumerate(mem):
-            p = S.product(a, b)
-            if p not in pos:
-                raise NotASubsemigroup(f"{a}*{b} = {p} escapes the subset")
-            table[i, j] = pos[p]
+    if mem[0] < 0 or mem[-1] >= S.order:
+        raise OutOfRange(f"members must lie in [0,{S.order})")
+    idx = np.asarray(mem, dtype=np.int64)
+    products = S.table[idx[:, None], idx]
+    table = _positions(S.order, idx)[products]
+    if table.min() < 0:
+        i, j = np.argwhere(table < 0)[0]
+        raise NotASubsemigroup(f"{mem[i]}*{mem[j]} = {products[i, j]} escapes the subset")
     sub = FiniteSemigroup(table, validate=False)
     return sub, SemigroupMorphism(sub, S, tuple(mem))
 

@@ -24,13 +24,17 @@ from .core import (
     monogenic,
     subsemigroup_table,
 )
-from .errors import CensusLimitExceeded, SemigroupError, UnknownGenerator
+from .errors import (
+    CensusLimitExceeded,
+    NotRegularSubsemigroup,
+    SemigroupError,
+    UnknownGenerator,
+)
 from .greens import (
     _classes_naive,
     _two_sided_ideal_members,
     greens_structure,
     greens_restriction_check,
-    is_regular,
     is_stable,
 )
 from .ideals import (
@@ -339,10 +343,9 @@ class CorpusSpec:
     generators: tuple[str, ...]
     max_order: int = 4096
     census_limit: int = CENSUS_LIMIT
-    subset_cap: int = 16
 
     def __post_init__(self):
-        if self.max_order <= 0 or self.census_limit <= 0 or self.subset_cap <= 0:
+        if self.max_order <= 0 or self.census_limit <= 0:
             raise ValueError("limits must be positive")
 
 
@@ -351,6 +354,10 @@ def build_corpus(spec: CorpusSpec) -> list[tuple[str, FiniteSemigroup]]:
     for desc in spec.generators:
         head, _, tail = desc.partition(":")
         args = [a for a in tail.split(",") if a] if tail else []
+        # gen_standard checks the arity of the other descriptors
+        arity = {"census": 1, "random_rees": 4, "transformation": 3}.get(head)
+        if arity is not None and len(args) != arity:
+            raise ValueError(f"descriptor {desc!r} takes {arity} arguments, got {len(args)}")
         if head == "census":
             for S in census(int(args[0]), limit=spec.census_limit):
                 out.append((S.name, S))
@@ -463,7 +470,7 @@ def _check_single_idempotent_monoid(S):
 def _check_subsemigroups_of_groups(S):
     if not is_group(S):
         return None
-    for T in enumerate_subsemigroups(S, cap=max(16, S.order), verify=False):
+    for T in enumerate_subsemigroups(S, cap=max(16, S.order)):
         subsemigroup_of_group_check(S, T)
 
 
@@ -514,19 +521,46 @@ def _check_kernel_rees_roundtrip(S):
 def _check_green_restriction(S):
     if S.order > 8:
         return None
-    for T in enumerate_subsemigroups(S, cap=max(16, S.order), verify=False):
-        sub, _ = subsemigroup_table(S, T.members)
-        if all(is_regular(sub, x) for x in range(sub.order)):
+    for T in enumerate_subsemigroups(S, cap=max(16, S.order)):
+        try:
             report = greens_restriction_check(S, T)
-            if not report.ok:
-                return f"restriction fails on {list(T.members)}: {report.violations[:1]}"
+        except NotRegularSubsemigroup:
+            continue
+        if not report.ok:
+            return f"restriction fails on {list(T.members)}: {report.violations[:1]}"
 
 
 def _check_subsemigroup_classification(S):
+    """Every subsemigroup T of a completely simple S is M(J, W, Gamma, P')
+    with J in I, W a subgroup of G, Gamma in Lambda and P' the restriction
+    of P to Gamma x J, read at a shared base idempotent; the count of
+    subsemigroups is at most sum over subgroups W of 2^|I| * 2^|Lambda|."""
     if not is_completely_simple(S):
         return None
-    for T in enumerate_subsemigroups(S, cap=max(16, S.order), verify=False):
-        subsemigroup_decompose(S, T)  # raises when the classification fails
+    subs = enumerate_subsemigroups(S, cap=max(16, S.order))
+    for T in subs:
+        J, W, Gamma, dec_T = subsemigroup_decompose(S, T)
+        # S's coordinates at T's base idempotent; T.members[k] is T's element k
+        dec_S = rees_decompose(S, T.members[dec_T.e])
+        where = f"T={list(T.members)}"
+        if not set(J.members) <= set(dec_S.i_elements):
+            return f"J is not contained in I at {where}"
+        if not set(W.members) <= set(dec_S.group_elements):
+            return f"W is not contained in G at {where}"
+        if not set(Gamma.members) <= set(dec_S.lambda_elements):
+            return f"Gamma is not contained in Lambda at {where}"
+        # P' and the restriction of P, both as elements of S
+        rows = [dec_S.lambda_elements.index(x) for x in Gamma.members]
+        cols = [dec_S.i_elements.index(x) for x in J.members]
+        p_S = np.asarray(dec_S.group_elements)[dec_S.rms.sandwich[np.ix_(rows, cols)]]
+        p_T = np.asarray(T.members)[np.asarray(dec_T.group_elements)[dec_T.rms.sandwich]]
+        if not np.array_equal(p_S, p_T):
+            return f"sandwich matrix does not restrict at {where}"
+    dec = rees_decompose(S)
+    n_subgroups = len(enumerate_subsemigroups(dec.rms.group, cap=max(16, dec.rms.group.order)))
+    bound = n_subgroups * 2**dec.rms.i_size * 2**dec.rms.lambda_size
+    if len(subs) > bound:
+        return f"subsemigroup count {len(subs)} exceeds bound {bound}"
 
 
 def _check_stability(S):
@@ -538,6 +572,9 @@ def _check_stability(S):
 def _check_monogenic_idempotent(S):
     for s in range(S.order):
         result = monogenic(S, s)
+        e = result.idempotent
+        if S.product(e, e) != e or e not in result.subset:
+            return f"computed idempotent {e} of <{s}> is not an idempotent of <{s}>"
         idems = [x for x in result.subset if S.product(x, x) == x]
         if len(idems) != 1:
             return f"<{s}> has {len(idems)} idempotents"
@@ -576,7 +613,7 @@ def verify_suite(corpus) -> VerificationReport:
         for check_name, fn in CHECKS:
             try:
                 witness = fn(S)
-            except SemigroupError as exc:
+            except (SemigroupError, ValueError) as exc:
                 witness = str(exc)
             except AssertionError as exc:
                 witness = f"assertion: {exc}"

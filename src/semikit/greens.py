@@ -211,17 +211,6 @@ def _d_class_order(T, d, d_members) -> tuple[tuple[int, int], ...]:
     return tuple((lo, hi) for hi in range(k) for lo in range(k) if below[lo, hi])
 
 
-def compose_partitions(first: np.ndarray, second: np.ndarray) -> set[tuple[int, int]]:
-    """Relation pairs of second∘first: (a,b) with a first c and c second b."""
-    n = first.shape[0]
-    pairs = set()
-    for c in range(n):
-        for a in np.flatnonzero(first == first[c]):
-            for b in np.flatnonzero(second == second[c]):
-                pairs.add((int(a), int(b)))
-    return pairs
-
-
 def eggbox_dot(G: GreensStructure) -> str:
     """Deterministic DOT rendering: one cluster per D-class, one node per
     H-class (starred when the H-class is a group), J-order edges between

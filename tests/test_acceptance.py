@@ -9,7 +9,14 @@ from contextlib import contextmanager
 import numpy as np
 
 import semikit as sk
-from semikit.corpus import census, fingerprint, gen_random_rees, gen_transformation_closure, verify_suite
+from semikit.corpus import (
+    _check_subsemigroup_classification,
+    census,
+    fingerprint,
+    gen_random_rees,
+    gen_transformation_closure,
+    verify_suite,
+)
 from semikit.greens import greens_structure
 from semikit.ideals import is_minimal_one_sided_ideal, kernel_members
 from test_greens import principal_ideal_partition
@@ -108,12 +115,12 @@ def test_criterion_5_counting_bound(census4, rb22, z3):
         instances.append(gen_random_rees(2, 2, "z3", seed=4).realized)
         for S in instances:
             assert S.order <= 12
+            # the (J, W, Gamma) classification of every subsemigroup and the
+            # counting bound, as replayed by the theorem suite
+            assert _check_subsemigroup_classification(S) is None
             dec = sk.rees_decompose(S)
-            # verify=True asserts the (J, W, Gamma) classification per subset
-            subs = sk.enumerate_subsemigroups(S, cap=12, verify=True)
-            n_subgroups = len(
-                sk.enumerate_subsemigroups(dec.rms.group, cap=12, verify=False)
-            )
+            subs = sk.enumerate_subsemigroups(S, cap=12)
+            n_subgroups = len(sk.enumerate_subsemigroups(dec.rms.group, cap=12))
             bound = n_subgroups * 2**dec.rms.i_size * 2**dec.rms.lambda_size
             assert len(subs) <= bound
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semikit as sk
 from semikit.cli import main
+from semikit.corpus import gen_random_rees
 
 
 @pytest.fixture
@@ -83,6 +87,14 @@ def test_decompose_emit_rms(z3_file, tmp_path, capsys):
     assert back.realized.order == 3
 
 
+@pytest.mark.parametrize("e", ["99", "-1"])
+def test_decompose_out_of_range_exit_2(tmp_path, rb22, capsys, e):
+    path = tmp_path / "rb22.sg"
+    sk.write_sg(rb22, path)
+    assert main(["decompose", str(path), "--base-idempotent", e]) == 2
+    assert f"element {e} not in [0,4)" in capsys.readouterr().err
+
+
 def test_quotient(pb_file, capsys):
     assert main(["--format", "structured", "quotient", pb_file, "--ideal", "0,1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -103,6 +115,12 @@ def test_gen_and_validate(tmp_path, capsys):
     out = tmp_path / "rb.sg"
     assert main(["gen", "rect_band:2,2", "-o", str(out)]) == 0
     assert main(["validate", str(out)]) == 0
+
+
+@pytest.mark.parametrize("desc", ["census", "census:", "census:2,3", "census:0"])
+def test_gen_rejects_bad_census_descriptor(tmp_path, capsys, desc):
+    assert main(["gen", desc, "-o", str(tmp_path / "out.sg")]) == 2
+    assert repr(desc) in capsys.readouterr().err
 
 
 def test_census_verify_roundtrip(tmp_path, capsys):
@@ -143,3 +161,85 @@ def test_env_max_order_invalid(z3_file, monkeypatch, capsys, value):
     assert main(["validate", z3_file]) == 2
     err = capsys.readouterr().err
     assert f"SEMIKIT_MAX_ORDER must be a positive integer, got '{value}'" in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Inputs for the argv fuzz: valid tables up to order 8, malformed and
+    non-associative files, and a census(2) corpus directory."""
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, S in (
+        ("rb22", sk.gen_standard("rect_band", 2, 2)),
+        ("t2", sk.gen_standard("t2")),
+        ("z3", sk.gen_standard("cyclic", 3)),
+        ("rees", gen_random_rees(2, 2, "z2", 1).realized),
+    ):
+        sk.write_sg(S, d / f"{name}.sg")
+    (d / "range.sg").write_text("2\n0 5\n1 0\n")
+    (d / "nonassoc.sg").write_text("2\n1 0\n0 0\n")
+    (d / "short.sg").write_text("3\n0 1\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["census", "--max-order", "2", "-o", str(d / "corpus")]) == 0
+    return d
+
+
+# malformed, negative and out-of-range integers; census orders stay <= 3 and
+# transformation degrees <= 4 so that every argv runs in well under a second
+_INTS = ["-1", "0", "1", "2", "3", "99", "x", "", "1.5", str(2**70)]
+_SMALL = ["-1", "0", "1", "2", "3", "x", ""]
+_HEADS = ["census", "random_rees", "transformation", "cyclic", "rect_band",
+          "left_zero", "sym3", "t2", "paper_band", "octonions"]
+
+
+@st.composite
+def argvs(draw, d):
+    files = [str(d / f) for f in ("rb22.sg", "t2.sg", "z3.sg", "rees.sg", "range.sg",
+                                  "nonassoc.sg", "short.sg", "missing.sg", "corpus")]
+    outs = [str(d / "out"), str(d / "no" / "out"), str(d)]
+    file = draw(st.sampled_from(files))
+    out = draw(st.sampled_from(outs))
+    ints = st.sampled_from(_INTS)
+    sub = draw(st.sampled_from(["validate", "report", "greens", "kernel", "decompose",
+                                "quotient", "subsemigroups", "gen", "census", "verify"]))
+    argv = [sub]
+    if sub in ("validate", "report", "kernel"):
+        argv.append(file)
+    elif sub == "greens":
+        argv += [file] + draw(st.sampled_from([[], ["--dot", out]]))
+    elif sub == "decompose":
+        argv.append(file)
+        if draw(st.booleans()):
+            argv += ["--base-idempotent", draw(ints)]
+        if draw(st.booleans()):
+            argv += ["--emit-rms", out]
+    elif sub == "quotient":
+        ideal = ",".join(draw(st.lists(ints, min_size=1, max_size=3)))
+        argv += [file, "--ideal", ideal] + draw(st.sampled_from([[], ["-o", out]]))
+    elif sub == "subsemigroups":
+        argv += [file] + draw(st.sampled_from([[], ["--cap", draw(ints)]]))
+    elif sub == "gen":
+        args = draw(st.lists(st.sampled_from(_SMALL + ["z2", "s3"]), max_size=5))
+        desc = draw(st.sampled_from(_HEADS)) + (":" + ",".join(args) if args else "")
+        argv += [desc, "-o", out]
+    elif sub == "census":
+        argv += ["--max-order", draw(st.sampled_from(_SMALL + ["5", "99"])), "-o", out]
+    else:
+        argv += draw(st.sampled_from([[file], ["--corpus", file], []]))
+    if draw(st.booleans()):
+        argv = ["--format", draw(st.sampled_from(["human", "structured", "json"]))] + argv
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_main_exits_cleanly_on_any_argv(fuzz_dir, data):
+    # main() returns 0, 1 or 2, or argparse exits with 2; nothing else escapes
+    argv = data.draw(argvs(fuzz_dir), label="argv")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            assert exc.code == 2
+        else:
+            assert rc in (0, 1, 2)

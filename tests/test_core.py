@@ -187,6 +187,13 @@ def test_subsemigroup_table(t2):
     assert incl.is_homomorphism
 
 
+def test_subsemigroup_table_rejects_out_of_range(t2):
+    # -1 must not wrap around to element n-1
+    for members in ([99], [-1], [2, 4]):
+        with pytest.raises(OutOfRange):
+            sk.subsemigroup_table(t2, members)
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,15 @@ def test_build_corpus_descriptors():
     assert len(corpus) == 9  # z3, rb22, rees, census orders 1 (1) and 2 (5)
 
 
+@pytest.mark.parametrize(
+    "desc",
+    ["census", "census:", "census:2,3", "random_rees:1,1,z2", "transformation:3,2", "transformation:3,2,0,1"],
+)
+def test_build_corpus_rejects_wrong_arity(desc):
+    with pytest.raises(ValueError, match=re.escape(repr(desc))):
+        build_corpus(CorpusSpec(generators=(desc,)))
+
+
 def test_verify_suite_census3_zero_failures():
     report = verify_suite(census(3))
     assert report.summary["fail"] == 0
@@ -172,3 +182,35 @@ def test_verify_reports_d_not_equal_j(monkeypatch, t2):
     report = verify_suite([("t2", t2)])
     failed = {e.check: e.witness for e in report.failures}
     assert failed.get("d_equals_rl_equals_lr") == "D != J"
+
+
+def test_verify_reports_wrong_classification(monkeypatch, rb22):
+    # J and Gamma swapped: rb22 at e=0 has I = {0,2} but Lambda = {0,1}
+    real = corpus_mod.subsemigroup_decompose
+
+    def swapped(S, T):
+        j, w, gamma, dec = real(S, T)
+        return gamma, w, j, dec
+
+    monkeypatch.setattr(corpus_mod, "subsemigroup_decompose", swapped)
+    report = verify_suite([("rb22", rb22)])
+    failed = {e.check: e.witness for e in report.failures}
+    assert set(failed) == {"subsemigroup_classification"}
+    assert failed["subsemigroup_classification"].startswith("J is not contained in I")
+
+
+@pytest.mark.parametrize("name", ["subsemigroup_decompose", "rees_decompose"])
+def test_verify_records_value_error_without_aborting(monkeypatch, rb22, name):
+    # phi.inverse() refuses a map that is not an isomorphism with ValueError
+    def broken(*args):
+        raise ValueError("only isomorphisms invert")
+
+    monkeypatch.setattr(corpus_mod, name, broken)
+    report = verify_suite([("rb22", rb22)])
+    assert len(report.entries) == len(corpus_mod.CHECKS)
+    failed = {e.check: e.witness for e in report.failures}
+    expected = {"subsemigroup_classification"}
+    if name == "rees_decompose":
+        expected.add("kernel_rees_roundtrip")
+    assert set(failed) == expected
+    assert set(failed.values()) == {"only isomorphisms invert"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semikit as sk
+from semikit.core import associativity_witness
 from semikit.errors import ElementNotInSubset, NotAnIdeal, NotIdempotent
 from semikit.ideals import (
     enumerate_ideals,
@@ -180,6 +181,16 @@ def test_rees_quotient_size_invariant(t2, pb):
         for ideal in enumerate_ideals(S):
             Q, _ = sk.rees_quotient(S, sk.SubsetHandle(S, ideal, "two-sided-ideal"))
             assert Q.order == S.order - len(ideal) + 1
+
+
+def test_rees_quotient_every_census_ideal(census4):
+    # the quotient table is not re-validated, so check it here: S/I is a
+    # semigroup and the projection a homomorphism for every ideal I
+    for S in census4:
+        for ideal in enumerate_ideals(S):
+            Q, pi = sk.rees_quotient(S, sk.SubsetHandle(S, ideal, "two-sided-ideal"))
+            assert associativity_witness(Q.table) is None
+            assert pi.is_homomorphism
 
 
 def test_swelling_group_translation(z3):

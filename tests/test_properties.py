@@ -82,8 +82,11 @@ def test_closure_idempotence_and_leastness(data):
 def test_monogenic_unique_idempotent(data):
     S = data.draw(st.sampled_from(corpus3()))
     s = data.draw(st.integers(0, S.order - 1))
-    members = sk.monogenic(S, s).subset.members
+    result = sk.monogenic(S, s)
+    members = result.subset.members
     assert sum(1 for x in members if S.product(x, x) == x) == 1
+    e = result.idempotent
+    assert e in members and S.product(e, e) == e
 
 
 @given(st.data())

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semikit as sk
-from semikit.corpus import canonical_form, gen_random_rees, resolve_group
+from semikit.core import associativity_witness
+from semikit.corpus import _GROUPS, canonical_form, gen_random_rees, resolve_group
 from semikit.errors import (
     BadSandwichEntry,
     NotAGroup,
     NotASubsemigroup,
     NotCompletelySimple,
+    OutOfRange,
     Overflow,
     SearchCapExceeded,
 )
@@ -18,6 +21,50 @@ def test_is_simple(z3, rb22, t2):
     assert sk.is_simple(z3) and sk.is_completely_simple(z3)
     assert sk.is_simple(rb22) and sk.is_completely_simple(rb22)
     assert not sk.is_simple(t2) and not sk.is_completely_simple(t2)
+
+
+def rees_table_oracle(i_size, lambda_size, group, P):
+    """Oracle: the Rees matrix table filled cell by cell from
+    (i,g,lam)(j,h,mu) = (i, g p[lam,j] h, mu)."""
+    ng = group.order
+    GT = group.table
+    m = i_size * ng * lambda_size
+    table = np.empty((m, m), dtype=np.int64)
+    for i in range(i_size):
+        for g in range(ng):
+            for lam in range(lambda_size):
+                a = (i * ng + g) * lambda_size + lam
+                for j in range(i_size):
+                    prods = GT[GT[g, P[lam][j]], :]  # g p[lam,j] h over h
+                    for h in range(ng):
+                        base = (i * ng + prods[h]) * lambda_size
+                        row_start = (j * ng + h) * lambda_size
+                        table[a, row_start : row_start + lambda_size] = base + np.arange(
+                            lambda_size
+                        )
+    return table
+
+
+@st.composite
+def rees_data(draw):
+    group = _GROUPS[draw(st.sampled_from(sorted(_GROUPS)))]()
+    i_size = draw(st.integers(1, 3))
+    lambda_size = draw(st.integers(1, 3))
+    entry = st.integers(0, group.order - 1)
+    P = draw(st.lists(st.lists(entry, min_size=i_size, max_size=i_size),
+                      min_size=lambda_size, max_size=lambda_size))
+    return i_size, lambda_size, group, P
+
+
+@given(rees_data())
+@settings(max_examples=60, deadline=None)
+def test_rees_construct_matches_loop_oracle(data):
+    # the realized table skips validation, so check it against the loop
+    # construction and for associativity here
+    i_size, lambda_size, group, P = data
+    table = sk.rees_construct(i_size, lambda_size, group, P).realized.table
+    assert np.array_equal(table, rees_table_oracle(i_size, lambda_size, group, P))
+    assert associativity_witness(table) is None
 
 
 def test_rees_construct_group_case(z3):
@@ -83,6 +130,12 @@ def test_rees_decompose_rejects(t2, z3):
 
     with pytest.raises(NotIdempotent):
         sk.rees_decompose(z3, 1)
+
+
+def test_rees_decompose_rejects_out_of_range(rb22):
+    for e in (99, 4, -1):
+        with pytest.raises(OutOfRange):
+            sk.rees_decompose(rb22, e)
 
 
 def test_rees_roundtrip_identities(z3, rb22):
@@ -164,6 +217,16 @@ def test_h_finiteness(z3, rb22):
     assert all(len(h) == 3 for h in G.h_classes)
 
 
+def test_h_finiteness_on_rees_grid():
+    # the H-class count equals |I|*|Lambda| on the acceptance-criterion-3 grid
+    for group in ("trivial", "z2", "z3", "z4", "z2xz2", "s3"):
+        for i_size in (1, 2, 3):
+            for lam in (1, 2, 3):
+                for seed in (1, 2):
+                    S = gen_random_rees(i_size, lam, group, seed).realized
+                    assert sk.h_finiteness(S) == (i_size * lam, i_size, lam)
+
+
 def brute_subsemigroups(S):
     """Independent oracle: subset scan for product-closed sets."""
     n = S.order
@@ -188,7 +251,7 @@ def test_enumerate_subsemigroups_l2(l2):
 
 def test_enumerate_subsemigroups_matches_oracle(rb22, t2, pb):
     for S in (rb22, t2, pb):
-        subs = [h.members for h in sk.enumerate_subsemigroups(S, verify=False)]
+        subs = [h.members for h in sk.enumerate_subsemigroups(S)]
         assert sorted(subs, key=lambda m: (len(m), m)) == brute_subsemigroups(S)
 
 
@@ -215,7 +278,7 @@ def test_subsemigroup_of_group_check(z3):
     assert T.members == (0, 2, 4)
     assert sk.subsemigroup_of_group_check(z6, T)
     s3 = resolve_group("s3")
-    for T in sk.enumerate_subsemigroups(s3, verify=False):
+    for T in sk.enumerate_subsemigroups(s3):
         assert sk.subsemigroup_of_group_check(s3, T)
 
 
