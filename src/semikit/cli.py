@@ -142,7 +142,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_quotient(args) -> int:
     S = _load(args.file)
     members = tuple(int(tok) for tok in args.ideal.split(","))
-    ideal = SubsetHandle(S, members, "two-sided-ideal")
+    ideal = SubsetHandle(S, members)
     Q, pi = rees_quotient(S, ideal)
     text = dumps_sg(Q)
     if args.output:
@@ -174,8 +174,10 @@ def _cmd_gen(args) -> int:
     built = corpus_mod.build_corpus(
         corpus_mod.CorpusSpec(generators=(args.descriptor,))
     )
-    if not built:
-        raise ValueError(f"descriptor {args.descriptor!r} generates no semigroup")
+    if len(built) != 1:
+        raise ValueError(
+            f"descriptor {args.descriptor!r} generates {len(built)} semigroups, expected 1"
+        )
     _, S = built[0]
     write_sg(S, args.output)
     _emit(args, {"order": S.order, "path": args.output}, f"wrote order-{S.order} table to {args.output}")

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     EmptyGenerators,
-    NotAnIdeal,
     NotAssociative,
     NotASubsemigroup,
     OutOfRange,
@@ -27,22 +26,6 @@ DEFAULT_MAX_ORDER = 4096
 # Above this order the O(n^3) direct check gives way to Light's test.
 DIRECT_CHECK_LIMIT = 256
 _ASSOC_BLOCK = 32
-
-SUBSET_ROLES = frozenset(
-    {
-        "subsemigroup",
-        "left-ideal",
-        "right-ideal",
-        "two-sided-ideal",
-        "idempotents",
-        "kernel",
-        "h-class",
-        "center",
-        "centralizer",
-        "monogenic",
-        "generic",
-    }
-)
 
 
 def max_order() -> int:
@@ -59,6 +42,16 @@ def max_order() -> int:
     return value
 
 
+def _check_order(n: int) -> int:
+    """Refuse an order below 1 or above the cap; returns n.  Builders call
+    it before allocating a table of that order."""
+    if n < 1:
+        raise ValueError("semigroup must have at least one element")
+    if n > max_order():
+        raise Overflow(f"order {n} exceeds configured maximum {max_order()}")
+    return n
+
+
 class FiniteSemigroup:
     """A finite semigroup given by its Cayley table.
 
@@ -73,11 +66,7 @@ class FiniteSemigroup:
         arr = np.ascontiguousarray(table, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"table must be square, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n < 1:
-            raise ValueError("semigroup must have at least one element")
-        if n > max_order():
-            raise Overflow(f"order {n} exceeds configured maximum {max_order()}")
+        n = _check_order(arr.shape[0])
         if validate:
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 bad = np.argwhere((arr < 0) | (arr >= n))[0]
@@ -186,49 +175,24 @@ def _generating_set(table: np.ndarray) -> list[int]:
 
 @dataclass(frozen=True)
 class SubsetHandle:
-    """A subset of a semigroup's elements carrying a role tag.
+    """A subset of a semigroup's elements: the parent and its sorted
+    distinct members, each checked to be an index of the parent.
 
-    Role-specific closure is verified at construction: subsemigroup-like roles
-    must be product-closed, ideal roles absorbing, and every role except
-    ``center`` must be nonempty.
+    A handle claims nothing more.  Each function that takes one checks what
+    it needs itself: closure (``subsemigroup_table``), absorption
+    (``rees_quotient``, ``is_minimal_one_sided_ideal``), being an H-class
+    (``h_class_is_group``) or membership (``swelling_check``).
     """
 
     parent: FiniteSemigroup
     members: tuple[int, ...]
-    role: str = "generic"
 
     def __post_init__(self):
         members = tuple(sorted(set(int(m) for m in self.members)))
         object.__setattr__(self, "members", members)
-        if self.role not in SUBSET_ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
         n = self.parent.order
         if members and (members[0] < 0 or members[-1] >= n):
             raise OutOfRange(f"members must lie in [0,{n})")
-        if not members and self.role != "center":
-            raise ValueError(f"role {self.role!r} forbids the empty set")
-        self._check_role()
-
-    def _check_role(self):
-        table = self.parent.table
-        mem = np.asarray(self.members, dtype=np.int64)
-        inside = np.zeros(self.parent.order, dtype=bool)
-        inside[mem] = True
-        role = self.role
-        if role in ("subsemigroup", "monogenic", "centralizer") or (
-            role == "center" and mem.size
-        ):
-            if not inside[table[np.ix_(mem, mem)]].all():
-                raise NotASubsemigroup(f"role {role!r} requires a product-closed set")
-        if role in ("left-ideal", "kernel", "two-sided-ideal"):
-            if not inside[table[:, mem]].all():
-                raise NotAnIdeal(f"role {role!r} requires absorption on the left")
-        if role in ("right-ideal", "kernel", "two-sided-ideal"):
-            if not inside[table[mem, :]].all():
-                raise NotAnIdeal(f"role {role!r} requires absorption on the right")
-        if role == "idempotents":
-            if not (table[mem, mem] == mem).all():
-                raise ValueError("role 'idempotents' requires e*e = e for all members")
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -333,8 +297,7 @@ def adjoin_identity(S: FiniteSemigroup):
 def direct_product(A: FiniteSemigroup, B: FiniteSemigroup) -> FiniteSemigroup:
     """Componentwise product on pairs; (a,b) sits at index a*|B| + b."""
     na, nb = A.order, B.order
-    if na * nb > max_order():
-        raise Overflow(f"product order {na * nb} exceeds maximum {max_order()}")
+    _check_order(na * nb)
     a_part = A.table[:, None, :, None] * nb  # broadcast over (a, b, a', b')
     b_part = B.table[None, :, None, :]
     table = (a_part + b_part).reshape(na * nb, na * nb)
@@ -350,9 +313,7 @@ def closure(S: FiniteSemigroup, gens: Sequence[int]) -> SubsetHandle:
     for g in gens:
         if not 0 <= int(g) < S.order:
             raise OutOfRange(f"generator {g} not in [0,{S.order})")
-    mask = _closure_mask(S.table, gens)
-    role = "monogenic" if len(set(int(g) for g in gens)) == 1 else "subsemigroup"
-    return SubsetHandle(S, tuple(np.flatnonzero(mask)), role)
+    return SubsetHandle(S, tuple(np.flatnonzero(_closure_mask(S.table, gens))))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +323,7 @@ def closure(S: FiniteSemigroup, gens: Sequence[int]) -> SubsetHandle:
 def idempotents(S: FiniteSemigroup) -> SubsetHandle:
     """E(S) = {e : e*e = e}; nonempty for every finite semigroup."""
     diag = np.flatnonzero(S.table[np.arange(S.order), np.arange(S.order)] == np.arange(S.order))
-    return SubsetHandle(S, tuple(diag), "idempotents")
+    return SubsetHandle(S, tuple(diag))
 
 
 class CancellativityResult(NamedTuple):
@@ -420,7 +381,7 @@ def is_group(S: FiniteSemigroup) -> bool:
 def center(S: FiniteSemigroup) -> SubsetHandle:
     """Z(S) = {x : xy = yx for all y}; may be empty."""
     commutes = np.flatnonzero((S.table == S.table.T).all(axis=1))
-    return SubsetHandle(S, tuple(commutes), "center")
+    return SubsetHandle(S, tuple(commutes))
 
 
 def centralizer(S: FiniteSemigroup, a: int) -> SubsetHandle:
@@ -428,7 +389,7 @@ def centralizer(S: FiniteSemigroup, a: int) -> SubsetHandle:
     if not 0 <= a < S.order:
         raise OutOfRange(f"element {a} not in [0,{S.order})")
     members = np.flatnonzero(S.table[:, a] == S.table[a, :])
-    return SubsetHandle(S, tuple(members), "centralizer")
+    return SubsetHandle(S, tuple(members))
 
 
 class MonogenicResult(NamedTuple):
@@ -459,7 +420,7 @@ def monogenic(S: FiniteSemigroup, s: int) -> MonogenicResult:
     period = k - index
     k_idem = period * ((index + period - 1) // period)
     e = powers[k_idem - 1]
-    handle = SubsetHandle(S, tuple(powers), "monogenic")
+    handle = SubsetHandle(S, tuple(powers))
     return MonogenicResult(handle, index, period, e)
 
 

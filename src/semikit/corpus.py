@@ -15,6 +15,7 @@ import numpy as np
 from .core import (
     FiniteSemigroup,
     SubsetHandle,
+    _check_order,
     direct_product,
     from_table,
     idempotents,
@@ -89,6 +90,7 @@ class SplitMix64:
 
 
 def _cyclic(k: int) -> FiniteSemigroup:
+    _check_order(k)
     table = (np.arange(k)[:, None] + np.arange(k)[None, :]) % k
     return FiniteSemigroup(table, name=f"Z{k}", validate=False)
 
@@ -103,18 +105,22 @@ def _sym3() -> FiniteSemigroup:
 
 
 def _left_zero(k: int) -> FiniteSemigroup:
+    _check_order(k)
     table = np.repeat(np.arange(k)[:, None], k, axis=1)
     return FiniteSemigroup(table, name=f"LZ{k}", validate=False)
 
 
 def _right_zero(k: int) -> FiniteSemigroup:
+    _check_order(k)
     table = np.repeat(np.arange(k)[None, :], k, axis=0)
     return FiniteSemigroup(table, name=f"RZ{k}", validate=False)
 
 
 def _rect_band(a: int, b: int) -> FiniteSemigroup:
     # element (i, lam) at index i*b + lam; (i,lam)(j,mu) = (i,mu)
-    n = a * b
+    if a < 1 or b < 1:
+        raise ValueError(f"rectangular band sizes must be positive, got {a} and {b}")
+    n = _check_order(a * b)
     idx = np.arange(n)
     i_part = (idx // b)[:, None]
     mu_part = (idx % b)[None, :]
@@ -353,7 +359,7 @@ def build_corpus(spec: CorpusSpec) -> list[tuple[str, FiniteSemigroup]]:
     out: list[tuple[str, FiniteSemigroup]] = []
     for desc in spec.generators:
         head, _, tail = desc.partition(":")
-        args = [a for a in tail.split(",") if a] if tail else []
+        args = tail.split(",") if tail else []
         # gen_standard checks the arity of the other descriptors
         arity = {"census": 1, "random_rees": 4, "transformation": 3}.get(head)
         if arity is not None and len(args) != arity:
@@ -471,7 +477,8 @@ def _check_subsemigroups_of_groups(S):
     if not is_group(S):
         return None
     for T in enumerate_subsemigroups(S, cap=max(16, S.order)):
-        subsemigroup_of_group_check(S, T)
+        if not subsemigroup_of_group_check(S, T):
+            return f"subsemigroup {list(T.members)} of a group is not a subgroup"
 
 
 def _check_swelling(S):
@@ -480,9 +487,10 @@ def _check_swelling(S):
     n = S.order
     for bits in range(1, 1 << n):
         members = tuple(x for x in range(n) if bits >> x & 1)
-        A = SubsetHandle(S, members, "generic")
+        A = SubsetHandle(S, members)
         for t in members:
-            swelling_check(S, A, t)  # raises if the implication fails
+            if swelling_check(S, A, t) == (True, False):
+                return f"A={list(members)} lies in tA but is not tA at t={t}"
 
 
 def _check_d_composition(S):

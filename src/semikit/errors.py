@@ -63,7 +63,7 @@ class BadSandwichEntry(SemigroupError):
 
 
 class SearchCapExceeded(SemigroupError):
-    """Subsemigroup enumeration was requested beyond the configured cap."""
+    """An exhaustive enumeration (subsemigroups, ideals) was requested beyond its cap."""
 
 
 class CensusLimitExceeded(SemigroupError):
@@ -72,7 +72,3 @@ class CensusLimitExceeded(SemigroupError):
 
 class UnknownGenerator(SemigroupError):
     """Unrecognized fixture generator name."""
-
-
-class InvariantViolation(SemigroupError):
-    """A mathematically guaranteed property failed; indicates an internal bug."""

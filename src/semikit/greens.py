@@ -35,9 +35,9 @@ def principal_ideals(S: FiniteSemigroup, s: int) -> PrincipalIdeals:
     """The three principal ideals S^1 s, s S^1 and S^1 s S^1."""
     T = S.table
     return PrincipalIdeals(
-        SubsetHandle(S, tuple(_left_ideal_members(T, s)), "left-ideal"),
-        SubsetHandle(S, tuple(_right_ideal_members(T, s)), "right-ideal"),
-        SubsetHandle(S, tuple(_two_sided_ideal_members(T, s)), "two-sided-ideal"),
+        SubsetHandle(S, tuple(_left_ideal_members(T, s))),
+        SubsetHandle(S, tuple(_right_ideal_members(T, s))),
+        SubsetHandle(S, tuple(_two_sided_ideal_members(T, s))),
     )
 
 

@@ -14,23 +14,21 @@ from .core import (
     FiniteSemigroup,
     SemigroupMorphism,
     SubsetHandle,
+    _check_order,
     _closure_mask,
     _int_rows,
     _positions,
     from_table,
     is_group,
     is_monoid,
-    max_order,
     subsemigroup_table,
 )
 from .errors import (
     BadSandwichEntry,
-    InvariantViolation,
     NotAGroup,
     NotCompletelySimple,
     NotIdempotent,
     OutOfRange,
-    Overflow,
     SearchCapExceeded,
 )
 from .greens import greens_structure
@@ -87,9 +85,7 @@ def rees_construct(
     if P.size and (P.min() < 0 or P.max() >= group.order):
         raise BadSandwichEntry(f"sandwich entries must lie in [0,{group.order})")
     ng = group.order
-    m = i_size * ng * lambda_size
-    if m > max_order():
-        raise Overflow(f"order {m} exceeds configured maximum {max_order()}")
+    m = _check_order(i_size * ng * lambda_size)
     GT = group.table
     # coordinates of every index; a = (i, g, lam) on rows, b = (j, h, mu) on columns
     i, g, lam = np.unravel_index(np.arange(m), (i_size, ng, lambda_size))
@@ -197,9 +193,9 @@ def subsemigroup_decompose(S: FiniteSemigroup, T: SubsetHandle) -> SubsemigroupD
     sub, incl = subsemigroup_table(S, T.members)  # raises NotASubsemigroup
     dec_T = rees_decompose(sub)
     return SubsemigroupDecomposition(
-        SubsetHandle(S, tuple(incl(x) for x in dec_T.i_elements), "idempotents"),
-        SubsetHandle(S, tuple(incl(x) for x in dec_T.group_elements), "subsemigroup"),
-        SubsetHandle(S, tuple(incl(x) for x in dec_T.lambda_elements), "idempotents"),
+        SubsetHandle(S, tuple(incl(x) for x in dec_T.i_elements)),
+        SubsetHandle(S, tuple(incl(x) for x in dec_T.group_elements)),
+        SubsetHandle(S, tuple(incl(x) for x in dec_T.lambda_elements)),
         dec_T,
     )
 
@@ -273,24 +269,22 @@ def enumerate_subsemigroups(S: FiniteSemigroup, cap: int = DEFAULT_SEARCH_CAP) -
                 found.add(members)
                 frontier.append(members)
     return [
-        SubsetHandle(S, members, "subsemigroup")
+        SubsetHandle(S, members)
         for members in sorted(found, key=lambda m: (len(m), m))
     ]
 
 
 def subsemigroup_of_group_check(G: FiniteSemigroup, T: SubsetHandle) -> bool:
-    """A subsemigroup of a finite group is a subgroup: contains the identity
-    and is inverse-closed.  Failure is an InvariantViolation."""
+    """Whether the subsemigroup T of the group G is a subgroup: contains the
+    identity and is inverse-closed.  On a finite group it always is; the
+    verify harness records a False verdict as a failure."""
     if not is_group(G):
         raise NotAGroup("subsemigroup_of_group_check requires a group")
-    sub, _ = subsemigroup_table(G, T.members)  # raises NotASubsemigroup
-    identity = is_monoid(G)
-    if identity not in T.member_set:
-        raise InvariantViolation("subsemigroup of a group missing the identity")
-    for x in T.members:
-        if not any(G.product(x, y) == identity for y in T.members):
-            raise InvariantViolation(f"subsemigroup of a group not inverse-closed at {x}")
-    return True
+    subsemigroup_table(G, T.members)  # raises NotASubsemigroup
+    identity = G.identity
+    return identity in T.member_set and all(
+        any(G.product(x, y) == identity for y in T.members) for x in T.members
+    )
 
 
 # ---------------------------------------------------------------------------

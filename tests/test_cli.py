@@ -103,6 +103,7 @@ def test_quotient(pb_file, capsys):
 
 def test_quotient_rejects_non_ideal(pb_file, capsys):
     assert main(["quotient", pb_file, "--ideal", "2"]) == 2
+    assert capsys.readouterr().err == "error: [2] is not a two-sided ideal\n"
 
 
 def test_subsemigroups(z3_file, capsys):
@@ -112,12 +113,19 @@ def test_subsemigroups(z3_file, capsys):
 
 
 def test_gen_and_validate(tmp_path, capsys):
-    out = tmp_path / "rb.sg"
-    assert main(["gen", "rect_band:2,2", "-o", str(out)]) == 0
-    assert main(["validate", str(out)]) == 0
+    for desc in ("rect_band:2,2", "census:1"):
+        out = tmp_path / "out.sg"
+        assert main(["gen", desc, "-o", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
 
 
-@pytest.mark.parametrize("desc", ["census", "census:", "census:2,3", "census:0"])
+def test_gen_rejects_nonpositive_sizes(tmp_path, capsys):
+    out = tmp_path / "out.sg"
+    assert main(["gen", "rect_band:-2,-3", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("desc", ["census", "census:", "census:2,3", "census:0", "census:2", "census:3"])
 def test_gen_rejects_bad_census_descriptor(tmp_path, capsys, desc):
     assert main(["gen", desc, "-o", str(tmp_path / "out.sg")]) == 2
     assert repr(desc) in capsys.readouterr().err
@@ -186,7 +194,7 @@ def fuzz_dir(tmp_path_factory):
 # malformed, negative and out-of-range integers; census orders stay <= 3 and
 # transformation degrees <= 4 so that every argv runs in well under a second
 _INTS = ["-1", "0", "1", "2", "3", "99", "x", "", "1.5", str(2**70)]
-_SMALL = ["-1", "0", "1", "2", "3", "x", ""]
+_SMALL = ["-2", "-1", "0", "1", "2", "3", "x", ""]
 _HEADS = ["census", "random_rees", "transformation", "cyclic", "rect_band",
           "left_zero", "sym3", "t2", "paper_band", "octonions"]
 
@@ -233,7 +241,8 @@ def argvs(draw, d):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_main_exits_cleanly_on_any_argv(fuzz_dir, data):
-    # main() returns 0, 1 or 2, or argparse exits with 2; nothing else escapes
+    # main() returns 0, 1 or 2, or argparse exits with 2; nothing else escapes.
+    # A gen that succeeds leaves a table that loads: in range and associative.
     argv = data.draw(argvs(fuzz_dir), label="argv")
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -243,3 +252,5 @@ def test_main_exits_cleanly_on_any_argv(fuzz_dir, data):
             assert exc.code == 2
         else:
             assert rc in (0, 1, 2)
+            if rc == 0 and "gen" in argv:
+                sk.read_sg(argv[argv.index("-o") + 1])

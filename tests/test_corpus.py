@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from semikit.corpus import (
     gen_transformation_closure,
     verify_suite,
 )
-from semikit.errors import CensusLimitExceeded, UnknownGenerator
+from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
+from semikit.ideals import SwellingVerdict
 
 
 def test_gen_standard_tables(z3, rb22, pb):
@@ -136,11 +138,39 @@ def test_build_corpus_descriptors():
 
 @pytest.mark.parametrize(
     "desc",
-    ["census", "census:", "census:2,3", "random_rees:1,1,z2", "transformation:3,2", "transformation:3,2,0,1"],
+    ["census", "census:", "census:2,3", "census:,,2", "random_rees:1,1,z2", "transformation:3,2",
+     "transformation:3,2,0,1", "transformation:3,,2,0"],
 )
 def test_build_corpus_rejects_wrong_arity(desc):
     with pytest.raises(ValueError, match=re.escape(repr(desc))):
         build_corpus(CorpusSpec(generators=(desc,)))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [("cyclic", 2000), ("left_zero", 2000), ("right_zero", 2000), ("rect_band", 40, 50)],
+    ids=lambda p: p[0],
+)
+def test_fixture_order_checked_before_allocating(monkeypatch, params):
+    monkeypatch.setenv("SEMIKIT_MAX_ORDER", "4")
+    tracemalloc.start()
+    try:
+        with pytest.raises(Overflow):
+            sk.gen_standard(*params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "params",
+    [("cyclic", 0), ("left_zero", -1), ("right_zero", 0), ("rect_band", -2, -3), ("rect_band", 2, 0)],
+    ids=lambda p: f"{p[0]}:{','.join(map(str, p[1:]))}",
+)
+def test_fixture_rejects_nonpositive_sizes(params):
+    with pytest.raises(ValueError):
+        sk.gen_standard(*params)
 
 
 def test_verify_suite_census3_zero_failures():
@@ -197,6 +227,23 @@ def test_verify_reports_wrong_classification(monkeypatch, rb22):
     failed = {e.check: e.witness for e in report.failures}
     assert set(failed) == {"subsemigroup_classification"}
     assert failed["subsemigroup_classification"].startswith("J is not contained in I")
+
+
+@pytest.mark.parametrize(
+    "name, verdict, fixture, check",
+    [
+        ("swelling_check", SwellingVerdict(True, False), "t2", "swelling_implication"),
+        ("subsemigroup_of_group_check", False, "z3", "subsemigroup_of_group_is_subgroup"),
+    ],
+    ids=["swelling_check", "subsemigroup_of_group_check"],
+)
+def test_verify_records_wrong_verdict(monkeypatch, request, name, verdict, fixture, check):
+    # these functions return verdicts; only the verify harness judges them
+    S = request.getfixturevalue(fixture)
+    monkeypatch.setattr(corpus_mod, name, lambda *args: verdict)
+    report = verify_suite([(fixture, S)])
+    assert len(report.entries) == len(corpus_mod.CHECKS)
+    assert {e.check for e in report.failures} == {check}
 
 
 @pytest.mark.parametrize("name", ["subsemigroup_decompose", "rees_decompose"])

@@ -165,12 +165,12 @@ def test_is_regular(z3, t2, pb):
 
 
 def test_restriction_full_subsemigroup(rb22):
-    T = sk.SubsetHandle(rb22, (0, 1, 2, 3), "subsemigroup")
+    T = sk.SubsetHandle(rb22, (0, 1, 2, 3))
     assert sk.greens_restriction_check(rb22, T).ok
 
 
 def test_restriction_unit_group(t2):
-    T = sk.SubsetHandle(t2, (0, 1), "subsemigroup")
+    T = sk.SubsetHandle(t2, (0, 1))
     assert sk.greens_restriction_check(t2, T).ok
 
 
@@ -184,7 +184,7 @@ def test_restriction_rejects_irregular(t2):
     # is fine; use a handle that is not regular: none in T2 - construct a
     # semigroup with a non-regular element instead.
     S = sk.from_table(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # 2*2=1, 1 not regular
-    T = sk.SubsetHandle(S, (0, 1, 2), "subsemigroup")
+    T = sk.SubsetHandle(S, (0, 1, 2))
     with pytest.raises(NotRegularSubsemigroup):
         sk.greens_restriction_check(S, T)
 

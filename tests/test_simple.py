@@ -164,15 +164,15 @@ def test_base_point_independence(rb22):
 
 
 def test_subsemigroup_decompose_full(rb22):
-    T = sk.SubsetHandle(rb22, tuple(range(4)), "subsemigroup")
+    T = sk.SubsetHandle(rb22, tuple(range(4)))
     J, W, Gamma, dec = sk.subsemigroup_decompose(rb22, T)
     assert len(J) == 2 and len(Gamma) == 2 and len(W) == 1
 
 
 def test_subsemigroup_decompose_l_class(rb22):
     with pytest.raises(NotASubsemigroup):
-        sk.subsemigroup_decompose(rb22, sk.SubsetHandle(rb22, (0, 3), "generic"))
-    T = sk.SubsetHandle(rb22, (0, 2), "subsemigroup")
+        sk.subsemigroup_decompose(rb22, sk.SubsetHandle(rb22, (0, 3)))
+    T = sk.SubsetHandle(rb22, (0, 2))
     J, W, Gamma, dec = sk.subsemigroup_decompose(rb22, T)
     assert len(J) == 2 and len(Gamma) == 1 and len(W) == 1
 
@@ -180,7 +180,7 @@ def test_subsemigroup_decompose_l_class(rb22):
 def test_subsemigroup_decompose_product(z3, rb22):
     S = sk.direct_product(z3, rb22)
     members = tuple(0 * 4 + b for b in range(4))  # {identity} x RB22
-    T = sk.SubsetHandle(S, members, "subsemigroup")
+    T = sk.SubsetHandle(S, members)
     J, W, Gamma, dec = sk.subsemigroup_decompose(S, T)
     assert len(W) == 1
     assert len(J) == 2 and len(Gamma) == 2
@@ -272,7 +272,7 @@ def test_counting_bound_rb22(rb22):
 
 
 def test_subsemigroup_of_group_check(z3):
-    assert sk.subsemigroup_of_group_check(z3, sk.SubsetHandle(z3, (0,), "subsemigroup"))
+    assert sk.subsemigroup_of_group_check(z3, sk.SubsetHandle(z3, (0,)))
     z6 = resolve_group("z6")
     T = sk.closure(z6, [2])
     assert T.members == (0, 2, 4)
