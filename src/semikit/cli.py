@@ -171,6 +171,10 @@ def _cmd_subsemigroups(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    head, _, tail = args.descriptor.partition(":")
+    if head == "census" and tail.strip().isdigit() and int(tail) != 1:
+        # refused before enumerating: only the order-1 census has one member
+        raise ValueError(f"descriptor {args.descriptor!r} does not generate exactly 1 semigroup")
     built = corpus_mod.build_corpus(
         corpus_mod.CorpusSpec(generators=(args.descriptor,))
     )

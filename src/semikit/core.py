@@ -463,7 +463,7 @@ def dumps_sg(S: FiniteSemigroup) -> str:
     """Cayley-table text: one '#' header, then n, then n rows of n entries."""
     header = S.name if S.name else f"semigroup of order {S.order}"
     lines = [f"# {header}", str(S.order)]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in S.table)
+    lines.extend(" ".join(map(str, row)) for row in S.table.tolist())
     return "\n".join(lines) + "\n"
 
 

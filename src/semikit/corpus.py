@@ -28,6 +28,7 @@ from .core import (
 from .errors import (
     CensusLimitExceeded,
     NotRegularSubsemigroup,
+    Overflow,
     SemigroupError,
     UnknownGenerator,
 )
@@ -193,50 +194,53 @@ def gen_random_rees(
     return rees_construct(i_size, lambda_size, group, sandwich)
 
 
+_BLOCK = 1 << 19  # map entries gathered at once; bounds transient memory
+
+
 def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSemigroup:
     """Close seeded random self-maps of [0, degree) under composition.
 
-    The product of maps f and g is x -> f[g[x]].
+    The product of maps f and g is x -> f[g[x]].  Elements are numbered in
+    order of discovery: the distinct generators, then round by round, for
+    each map f found in the previous round, f∘g over every map g known at
+    the start of the round, then g∘f.  The maps are the rows of one array,
+    told apart by the bytes of their row.
     """
-    from .core import max_order
+    from .core import max_order  # census() has a parameter of that name
 
+    if degree < 1 or n_maps < 1:
+        raise ValueError(f"transformation degree {degree} and map count {n_maps} must be positive")
     rng = SplitMix64(seed)
-    maps = [
-        tuple(rng.below(degree) for _ in range(degree)) for _ in range(n_maps)
-    ]
-    index: dict[tuple[int, ...], int] = {}
-    rows: list[tuple[int, ...]] = []
-    for m in maps:
-        if m not in index:
-            index[m] = len(rows)
-            rows.append(m)
-    frontier = list(range(len(rows)))
+    maps = np.empty((0, degree), dtype=np.min_scalar_type(degree - 1))
+    key_type = np.dtype((np.void, maps.itemsize * degree))
     cap = max_order()
-    while frontier:
-        known = np.asarray(rows, dtype=np.int64)
-        fresh: list[int] = []
-        for a in frontier:
-            f = known[a]
-            for comp in (f[known], known[:, f]):  # f o g and g o f over all g
-                for row in comp:
-                    key = tuple(int(v) for v in row)
-                    if key not in index:
-                        if len(rows) >= cap:
-                            from .errors import Overflow
 
-                            raise Overflow(
-                                f"transformation closure exceeds max order {cap}"
-                            )
-                        index[key] = len(rows)
-                        rows.append(key)
-                        fresh.append(index[key])
-        frontier = fresh
-    n = len(rows)
-    known = np.asarray(rows, dtype=np.int64)
+    def grow(rows: np.ndarray) -> None:
+        """Append the rows not yet known, in order of first occurrence."""
+        nonlocal maps
+        first = np.unique(np.concatenate((maps, rows)).view(key_type), return_index=True)[1]
+        fresh = np.sort(first[first >= len(maps)]) - len(maps)
+        if len(maps) + len(fresh) > cap:
+            raise Overflow(f"transformation closure exceeds max order {cap}")
+        maps = np.concatenate((maps, rows[fresh]))
+
+    grow(np.array([[rng.below(degree) for _ in range(degree)] for _ in range(n_maps)], maps.dtype))
+    lo = 0
+    while lo < len(maps):
+        known, hi = maps, len(maps)
+        step = max(1, _BLOCK // (2 * hi * degree))
+        for a in range(lo, hi, step):
+            f = known[a : a + step]
+            # per frontier map: f∘g over all g, then g∘f over all g
+            grow(np.stack((f[:, known], known[:, f].swapaxes(0, 1)), axis=1).reshape(-1, degree))
+        lo = hi
+    n = len(maps)
+    keys, ids = np.unique(maps.view(key_type).ravel(), return_index=True)  # maps are distinct
     table = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        comp = known[a][known]  # f_a o g_b over all b
-        table[a] = [index[tuple(int(v) for v in row)] for row in comp]
+    step = max(1, _BLOCK // (n * degree))
+    for a in range(0, n, step):
+        prods = maps[a : a + step][:, maps].reshape(-1, degree).view(key_type).ravel()
+        table[a : a + step] = ids[np.searchsorted(keys, prods)].reshape(-1, n)
     return FiniteSemigroup(table, name=f"T({degree},{n_maps},{seed})", validate=False)
 
 

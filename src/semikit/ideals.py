@@ -55,6 +55,8 @@ def _is_two_sided_ideal(T: np.ndarray, members) -> bool:
 def is_minimal_one_sided_ideal(S: FiniteSemigroup, members: Sequence[int], side: str) -> bool:
     """Decide minimality of a one-sided ideal: the left ideal L is minimal
     iff S^1 x = L for every x in L (dually for right ideals)."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     T = S.table
     mem = sorted(set(int(m) for m in members))
     check = _is_left_ideal if side == "left" else _is_right_ideal

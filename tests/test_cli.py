@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semikit as sk
+from semikit import corpus as corpus_mod
 from semikit.cli import main
 from semikit.corpus import gen_random_rees
 
@@ -129,6 +130,23 @@ def test_gen_rejects_nonpositive_sizes(tmp_path, capsys):
 def test_gen_rejects_bad_census_descriptor(tmp_path, capsys, desc):
     assert main(["gen", desc, "-o", str(tmp_path / "out.sg")]) == 2
     assert repr(desc) in capsys.readouterr().err
+
+
+def test_gen_census_refused_before_enumerating(tmp_path, capsys, monkeypatch):
+    def enumerate_census(*args, **kwargs):
+        pytest.fail("census enumerated for a descriptor that gen refuses")
+
+    monkeypatch.setattr(corpus_mod, "census", enumerate_census)
+    assert main(["gen", "census:4", "-o", str(tmp_path / "out.sg")]) == 2
+    assert repr("census:4") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("desc", ["transformation:0,2,0", "transformation:-1,2,0"])
+def test_gen_rejects_nonpositive_degree(tmp_path, capsys, desc):
+    out = tmp_path / "out.sg"
+    assert main(["gen", desc, "-o", str(out)]) == 2
+    assert "degree" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_census_verify_roundtrip(tmp_path, capsys):

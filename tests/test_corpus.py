@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semikit as sk
 from semikit import corpus as corpus_mod
@@ -19,6 +20,7 @@ from semikit.corpus import (
     gen_transformation_closure,
     verify_suite,
 )
+from semikit.core import max_order
 from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
 from semikit.ideals import SwellingVerdict
 
@@ -76,6 +78,103 @@ def test_transformation_closure_deterministic():
     from semikit.core import associativity_witness
 
     assert associativity_witness(a.table) is None
+
+
+def transformation_closure_oracle(degree, n_maps, seed):
+    """Reference closure: maps as Python tuples in a dict, multiplied one map
+    at a time in the production numbering order (per frontier map f, f∘g over
+    the round's snapshot, then g∘f)."""
+    rng = SplitMix64(seed)
+    maps = [tuple(rng.below(degree) for _ in range(degree)) for _ in range(n_maps)]
+    index: dict[tuple[int, ...], int] = {}
+    rows: list[tuple[int, ...]] = []
+    for m in maps:
+        if m not in index:
+            index[m] = len(rows)
+            rows.append(m)
+    frontier = list(range(len(rows)))
+    cap = max_order()
+    while frontier:
+        known = np.asarray(rows, dtype=np.int64)
+        fresh: list[int] = []
+        for a in frontier:
+            f = known[a]
+            for comp in (f[known], known[:, f]):  # f o g and g o f over all g
+                for row in comp:
+                    key = tuple(int(v) for v in row)
+                    if key not in index:
+                        if len(rows) >= cap:
+                            raise Overflow(f"transformation closure exceeds max order {cap}")
+                        index[key] = len(rows)
+                        rows.append(key)
+                        fresh.append(index[key])
+        frontier = fresh
+    n = len(rows)
+    known = np.asarray(rows, dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int64)
+    for a in range(n):
+        comp = known[a][known]  # f_a o g_b over all b
+        table[a] = [index[tuple(int(v) for v in row)] for row in comp]
+    return sk.FiniteSemigroup(table, name=f"T({degree},{n_maps},{seed})", validate=False)
+
+
+def closure_outcome(build, degree, n_maps, seed, cap):
+    """(name, table rows) of the closure under cap, or Overflow if it raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SEMIKIT_MAX_ORDER", str(cap))
+        try:
+            S = build(degree, n_maps, seed)
+        except Overflow:
+            return Overflow
+    return S.name, S.table.tolist()
+
+
+# degrees 16-24 are past the point where a radix key sum(f[x] * degree**x)
+# overflows int64
+closure_params = st.one_of(
+    st.tuples(st.integers(1, 5), st.integers(1, 3)),
+    st.tuples(st.integers(16, 24), st.just(1)),
+)
+seeds = st.integers(0, 2**64 - 1)
+
+
+@given(params=closure_params, seed=seeds)
+@settings(max_examples=150, deadline=None)
+def test_transformation_closure_matches_oracle(params, seed):
+    # the cap keeps the oracle fast; few degree <= 5 closures pass it
+    args = (*params, seed, 600)
+    assert closure_outcome(gen_transformation_closure, *args) == closure_outcome(
+        transformation_closure_oracle, *args
+    )
+
+
+@given(params=closure_params, seed=seeds, cap=st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_transformation_closure_overflows_like_oracle(params, seed, cap):
+    args = (*params, seed, cap)
+    assert closure_outcome(gen_transformation_closure, *args) == closure_outcome(
+        transformation_closure_oracle, *args
+    )
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_transformation_closure_rejects_nonpositive_degree(degree):
+    with pytest.raises(ValueError, match="degree"):
+        gen_transformation_closure(degree, 2, 0)
+
+
+def test_transformation_closure_overflow_is_cheap(monkeypatch):
+    # degree 1000 passes the default order cap within three rounds; the
+    # closure must refuse it without growing past bounded working memory
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Overflow, match="transformation closure exceeds max order"):
+            gen_transformation_closure(1000, 2, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_census_counts():

@@ -228,3 +228,10 @@ def test_swelling_exhaustive_small(t2, pb):
             A = sk.SubsetHandle(S, members)
             for t in members:
                 assert sk.swelling_check(S, A, t) != (True, False)
+
+
+@pytest.mark.parametrize("side", ["bogus", "Left", ""])
+def test_minimal_one_sided_ideal_rejects_unknown_side(t2, side):
+    # {2} is a minimal right ideal of T2; an unknown side must not be read as "right"
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        is_minimal_one_sided_ideal(t2, [2], side)
