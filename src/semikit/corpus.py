@@ -33,7 +33,6 @@ from .errors import (
     UnknownGenerator,
 )
 from .greens import (
-    _classes_naive,
     _two_sided_ideal_members,
     greens_structure,
     greens_restriction_check,
@@ -304,16 +303,14 @@ def _min_relabeling(table: np.ndarray) -> tuple[int, ...]:
     return best
 
 
-def census(
-    max_order: int, limit: int = CENSUS_LIMIT, fold_opposites: bool = False
-) -> list[FiniteSemigroup]:
+def census(max_order: int, fold_opposites: bool = False) -> list[FiniteSemigroup]:
     """All semigroups of order <= max_order up to isomorphism.
 
     Opposite (anti-isomorphic) semigroups are counted separately unless
     fold_opposites is set.
     """
-    if max_order > limit:
-        raise CensusLimitExceeded(f"census max_order {max_order} exceeds limit {limit}")
+    if max_order > CENSUS_LIMIT:
+        raise CensusLimitExceeded(f"census max_order {max_order} exceeds limit {CENSUS_LIMIT}")
     result = []
     for n in range(1, max_order + 1):
         canon: dict[tuple[int, ...], None] = {}
@@ -344,19 +341,14 @@ def fingerprint(semigroups: Iterable[FiniteSemigroup]) -> str:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Reproducible corpus description: generator descriptor strings plus
-    limits.  Descriptors: "cyclic:3", "rect_band:2,2", "sym3", "t2",
+    """Reproducible corpus description: generator descriptor strings.
+    Descriptors: "cyclic:3", "rect_band:2,2", "sym3", "t2",
     "paper_band", "left_zero:2", "right_zero:3",
     "random_rees:I,L,group,seed", "transformation:degree,maps,seed",
-    "census:N"."""
+    "census:N".  Every generator refuses an order above the cap
+    (``SEMIKIT_MAX_ORDER``) and census:N one above ``CENSUS_LIMIT``."""
 
     generators: tuple[str, ...]
-    max_order: int = 4096
-    census_limit: int = CENSUS_LIMIT
-
-    def __post_init__(self):
-        if self.max_order <= 0 or self.census_limit <= 0:
-            raise ValueError("limits must be positive")
 
 
 def build_corpus(spec: CorpusSpec) -> list[tuple[str, FiniteSemigroup]]:
@@ -369,7 +361,7 @@ def build_corpus(spec: CorpusSpec) -> list[tuple[str, FiniteSemigroup]]:
         if arity is not None and len(args) != arity:
             raise ValueError(f"descriptor {desc!r} takes {arity} arguments, got {len(args)}")
         if head == "census":
-            for S in census(int(args[0]), limit=spec.census_limit):
+            for S in census(int(args[0])):
                 out.append((S.name, S))
         elif head == "random_rees":
             i_size, lam, group_name, seed = args
@@ -380,9 +372,6 @@ def build_corpus(spec: CorpusSpec) -> list[tuple[str, FiniteSemigroup]]:
             out.append((desc, gen_transformation_closure(degree, maps, seed)))
         else:
             out.append((desc, gen_standard(head, *(int(a) for a in args))))
-    for name, S in out:
-        if S.order > spec.max_order:
-            raise CensusLimitExceeded(f"{name} exceeds max order {spec.max_order}")
     return out
 
 
@@ -499,7 +488,12 @@ def _check_swelling(S):
 
 def _check_d_composition(S):
     G = greens_structure(S)
-    if not np.array_equal(G.d_class, _classes_naive(S.table, "j")):
+    ideals: dict[bytes, int] = {}  # J classes, numbered by least member
+    j = [
+        ideals.setdefault(_two_sided_ideal_members(S.table, x).tobytes(), len(ideals))
+        for x in range(S.order)
+    ]
+    if G.d_class.tolist() != j:
         return "D != J"
     # every egg-box cell nonempty <=> D = RL = LR inside each D-class
     for box in G.eggbox:
@@ -512,12 +506,11 @@ def _check_d_composition(S):
 
 def _check_h_meet(S):
     G = greens_structure(S)
-    for a in range(S.order):
-        for b in range(S.order):
-            same_h = G.h_class[a] == G.h_class[b]
-            meet = G.l_class[a] == G.l_class[b] and G.r_class[a] == G.r_class[b]
-            if same_h != meet:
-                return f"H != L^R at ({a},{b})"
+    h, l, r = (c[:, None] == c for c in (G.h_class, G.l_class, G.r_class))
+    bad = np.argwhere(h != (l & r))
+    if len(bad):
+        a, b = bad[0]
+        return f"H != L^R at ({a},{b})"
 
 
 def _check_kernel_rees_roundtrip(S):

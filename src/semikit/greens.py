@@ -41,71 +41,26 @@ def principal_ideals(S: FiniteSemigroup, s: int) -> PrincipalIdeals:
     )
 
 
-def _canonical_labels(raw: np.ndarray) -> np.ndarray:
-    """Relabel class ids so classes are numbered by their least member."""
-    n = raw.shape[0]
-    first = {}
-    order = []
-    for x in range(n):
-        if raw[x] not in first:
-            first[raw[x]] = len(order)
-            order.append(raw[x])
-    lookup = np.empty(raw.max() + 1, dtype=np.int64)
-    for new, old in enumerate(order):
-        lookup[old] = new
-    return lookup[raw]
+def _ideal_rows(T: np.ndarray, side: str) -> np.ndarray:
+    """Membership rows of the principal one-sided ideals: row s of the n×n
+    bool array is S^1 s for side "l" and s S^1 for side "r"."""
+    s = np.arange(T.shape[0])
+    rows = np.eye(len(s), dtype=bool)
+    rows[s[None, :] if side == "l" else s[:, None], T] = True  # x*s in S^1 s, s*x in s S^1
+    return rows
 
 
-def _classes_naive(T: np.ndarray, kind: str) -> np.ndarray:
-    """Label elements by their principal ideal of the given kind, so two
-    elements share a label iff they generate the same ideal.  Labels are
-    handed out in element order, so classes are numbered by least member."""
-    n = T.shape[0]
-    fn = {
-        "l": _left_ideal_members,
-        "r": _right_ideal_members,
-        "j": _two_sided_ideal_members,
-    }[kind]
-    keys: dict[bytes, int] = {}
-    labels = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        key = fn(T, s).tobytes()
-        labels[s] = keys.setdefault(key, len(keys))
-    return labels
-
-
-def _pair_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    combo = a * (b.max() + 1) + b
-    _, labels = np.unique(combo, return_inverse=True)
-    return _canonical_labels(labels.astype(np.int64))
-
-
-def _join_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Smallest common coarsening of two partitions (union-find)."""
-    n = a.shape[0]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for labels in (a, b):
-        reps: dict[int, int] = {}
-        for x in range(n):
-            c = labels[x]
-            if c in reps:
-                parent[find(x)] = find(reps[c])
-            else:
-                reps[c] = x
-    raw = np.array([find(x) for x in range(n)], dtype=np.int64)
-    return _canonical_labels(raw)
+def _labels(keys: np.ndarray) -> np.ndarray:
+    """Number the rows of keys (its entries, if 1-D) by first occurrence, so
+    equal rows share a label and classes are numbered by least member."""
+    rows = np.ascontiguousarray(keys).reshape(len(keys), -1)
+    seen: dict[bytes, int] = {}
+    return np.array([seen.setdefault(bytes(row), len(seen)) for row in rows], dtype=np.int64)
 
 
 def _members_of(labels: np.ndarray) -> list[tuple[int, ...]]:
     out: list[list[int]] = [[] for _ in range(int(labels.max()) + 1)]
-    for x, c in enumerate(labels):
+    for x, c in enumerate(labels.tolist()):
         out[c].append(x)
     return [tuple(m) for m in out]
 
@@ -158,29 +113,37 @@ class GreensStructure:
 def greens_structure(S: FiniteSemigroup) -> GreensStructure:
     """Compute the five Green partitions and the egg-box grids.
 
-    L and R compare principal one-sided ideals; H is their meet and D their
-    join.  On a finite semigroup D = J, so the J partition is D's.
+    L and R compare principal one-sided ideals and H is their meet.  D is
+    L∘R, so the least member of D_x is the least member of R_z over z in
+    L_x.  On a finite semigroup D = J, so the J partition is D's.
     """
     T = S.table
-    l = _classes_naive(T, "l")
-    r = _classes_naive(T, "r")
-    h = _pair_labels(l, r)
-    d = _join_labels(l, r)
+    n = S.order
+    left_bits = np.packbits(_ideal_rows(T, "l"), axis=1)
+    right = _ideal_rows(T, "r")
+    l, r = _labels(left_bits), _labels(np.packbits(right, axis=1))
+    h = _labels(np.stack((l, r), axis=1))
+    r_least = np.full(n, n)
+    np.minimum.at(r_least, r, np.arange(n))
+    d_least = np.full(n, n)
+    np.minimum.at(d_least, l, r_least[r])
+    d = _labels(d_least[l])
 
     eggboxes = []
     d_members = _members_of(d)
+    l_of, r_of = l.tolist(), r.tolist()
     for d_id, dm in enumerate(d_members):
-        r_ids = sorted(set(int(r[x]) for x in dm))
-        l_ids = sorted(set(int(l[x]) for x in dm))
+        r_ids = sorted({r_of[x] for x in dm})
+        l_ids = sorted({l_of[x] for x in dm})
         grid: dict[tuple[int, int], list[int]] = {}
         for x in dm:
-            grid.setdefault((int(r[x]), int(l[x])), []).append(x)
+            grid.setdefault((r_of[x], l_of[x]), []).append(x)
         cells = tuple(
             tuple(tuple(grid.get((ri, li), ())) for li in l_ids) for ri in r_ids
         )
         eggboxes.append(EggBox(d_id, tuple(r_ids), tuple(l_ids), cells))
 
-    d_order = _d_class_order(T, d, d_members)
+    d_order = _d_class_order(left_bits, right, d, d_members)
     d_classes = tuple(tuple(m) for m in d_members)
     return GreensStructure(
         parent=S,
@@ -199,16 +162,18 @@ def greens_structure(S: FiniteSemigroup) -> GreensStructure:
     )
 
 
-def _d_class_order(T, d, d_members) -> tuple[tuple[int, int], ...]:
-    """Strict J-order pairs (lower, higher) between D-classes (finite: D=J)."""
+def _d_class_order(left_bits, right, d, d_members) -> tuple[tuple[int, int], ...]:
+    """Strict J-order pairs (lower, higher) between D-classes (finite: D=J),
+    sorted by the higher class.  S^1 x S^1 is the union of the rows S^1 y
+    (packed bits) over y in x S^1."""
     k = len(d_members)
-    below = np.zeros((k, k), dtype=bool)
+    above = np.zeros((k, k), dtype=bool)  # above[hi, lo]: D_lo lies under D_hi
     for hi, dm in enumerate(d_members):
-        ideal = _two_sided_ideal_members(T, dm[0])
-        for lo in set(int(d[x]) for x in ideal):
-            if lo != hi:
-                below[lo, hi] = True
-    return tuple((lo, hi) for hi in range(k) for lo in range(k) if below[lo, hi])
+        ideal = np.bitwise_or.reduce(left_bits[right[dm[0]]])
+        above[hi, d[np.unpackbits(ideal, count=len(d)).view(bool)]] = True
+    np.fill_diagonal(above, False)
+    hi, lo = np.nonzero(above)  # row-major: sorted by hi, then lo
+    return tuple(zip(lo.tolist(), hi.tolist()))
 
 
 def eggbox_dot(G: GreensStructure) -> str:
@@ -241,12 +206,12 @@ def eggbox_dot(G: GreensStructure) -> str:
 
 
 def _hasse(order_pairs: Sequence[tuple[int, int]], k: int) -> list[tuple[int, int]]:
-    below = {(lo, hi) for lo, hi in order_pairs}
-    covers = []
-    for lo, hi in sorted(below):
-        if not any((lo, m) in below and (m, hi) in below for m in range(k)):
-            covers.append((lo, hi))
-    return covers
+    """Covering pairs of a strict order, sorted: (lo, hi) with no class between."""
+    below = np.zeros((k, k), dtype=np.float32)  # float for BLAS; 0 only where no middle class
+    lo, hi = np.array(order_pairs, dtype=np.int64).reshape(-1, 2).T
+    below[lo, hi] = 1
+    lo, hi = np.nonzero((below > 0) & (below @ below == 0))
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def h_class_is_group(S: FiniteSemigroup, h: SubsetHandle) -> bool:
@@ -282,17 +247,13 @@ def greens_restriction_check(S: FiniteSemigroup, T: SubsetHandle) -> Restriction
             )
     GS = greens_structure(S)
     GT = greens_structure(sub)
-    rel_S = {"L": GS.l_class, "R": GS.r_class, "H": GS.h_class}
-    rel_T = {"L": GT.l_class, "R": GT.r_class, "H": GT.h_class}
+    members = np.asarray(incl.map)
     violations = []
-    m = sub.order
-    for name in ("L", "R", "H"):
-        for i in range(m):
-            for k in range(i + 1, m):
-                inner = rel_T[name][i] == rel_T[name][k]
-                outer = rel_S[name][incl(i)] == rel_S[name][incl(k)]
-                if inner != outer:
-                    violations.append((name, incl(i), incl(k)))
+    for name, attr in (("L", "l_class"), ("R", "r_class"), ("H", "h_class")):
+        inner, outer = getattr(GT, attr), getattr(GS, attr)[members]
+        differ = (inner[:, None] == inner) != (outer[:, None] == outer)
+        pairs = np.argwhere(np.triu(differ, 1)).tolist()  # row-major: i < k
+        violations += [(name, incl(i), incl(k)) for i, k in pairs]
     return RestrictionReport(not violations, tuple(violations))
 
 

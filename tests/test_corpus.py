@@ -235,6 +235,13 @@ def test_build_corpus_descriptors():
     assert len(corpus) == 9  # z3, rb22, rees, census orders 1 (1) and 2 (5)
 
 
+def test_build_corpus_follows_order_cap(monkeypatch):
+    # SEMIKIT_MAX_ORDER is the only order cap a corpus answers to
+    monkeypatch.setenv("SEMIKIT_MAX_ORDER", "4097")
+    [(name, S)] = build_corpus(CorpusSpec(("left_zero:4097",)))
+    assert (name, S.order) == ("left_zero:4097", 4097)
+
+
 @pytest.mark.parametrize(
     "desc",
     ["census", "census:", "census:2,3", "census:,,2", "random_rees:1,1,z2", "transformation:3,2",

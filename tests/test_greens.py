@@ -1,7 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semikit as sk
+from semikit import greens
+from semikit.corpus import gen_transformation_closure
 from semikit.errors import NotAnHClass, NotRegularSubsemigroup
 from semikit.greens import greens_structure
 
@@ -73,6 +79,115 @@ def test_greens_methods_agree(oracle_instances):
         j = principal_ideal_partition(S, "j")
         assert np.array_equal(G.d_class, j), S.name
         assert np.array_equal(G.j_class, j), S.name
+
+
+def greens_oracle(S):
+    """L, R, H and D labels and the strict D-order pairs (lower, higher),
+    sorted by the higher class, from principal ideals built as Python sets.
+    Classes are numbered by least member."""
+    n = S.order
+    rows = S.table.tolist()
+    left = [frozenset([s, *(rows[x][s] for x in range(n))]) for s in range(n)]
+    right = [frozenset([s, *rows[s]]) for s in range(n)]
+    two_sided = [frozenset().union(*(right[a] for a in left[s])) for s in range(n)]  # (S^1 s) S^1
+
+    def number(keys):
+        seen = {}
+        return [seen.setdefault(k, len(seen)) for k in keys]
+
+    l, r = number(left), number(right)
+    ideals = list(dict.fromkeys(two_sided))
+    d_order = tuple(
+        (lo, hi)
+        for hi, big in enumerate(ideals)
+        for lo, small in enumerate(ideals)
+        if lo != hi and small <= big
+    )
+    return {"l": l, "r": r, "h": number(zip(l, r)), "d": number(two_sided), "d_order": d_order}
+
+
+def assert_matches_greens_oracle(S):
+    G = greens_structure(S)
+    want = greens_oracle(S)
+    got = {
+        "l": G.l_class.tolist(),
+        "r": G.r_class.tolist(),
+        "h": G.h_class.tolist(),
+        "d": G.d_class.tolist(),
+        "d_order": G.d_order,
+    }
+    assert got == want, S.name
+
+
+def test_greens_h_and_d_order_match_oracle(oracle_instances):
+    # H against the meet of the oracle L and R, d_order against the
+    # inclusions of two-sided principal ideals
+    for S in oracle_instances:
+        assert_matches_greens_oracle(S)
+
+
+@given(degree=st.integers(1, 4), n_maps=st.integers(1, 3), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_greens_match_oracle_on_transformation_closures(degree, n_maps, seed):
+    assert_matches_greens_oracle(gen_transformation_closure(degree, n_maps, seed))
+
+
+def test_greens_chain_semilattice():
+    # min(i, j) on 0..299: every D-class is a singleton, D_i lies under D_j
+    # exactly when i < j, and the covers are the consecutive pairs
+    n = 300
+    i = np.arange(n)
+    G = greens_structure(sk.FiniteSemigroup(np.minimum.outer(i, i), validate=False))
+    assert G.d_classes == tuple((x,) for x in range(n))
+    assert len(G.d_order) == n * (n - 1) // 2
+    assert set(G.d_order) == {(lo, hi) for hi in range(n) for lo in range(hi)}
+    edges = re.findall(r"ltail=cluster_d(\d+), lhead=cluster_d(\d+)", sk.eggbox_dot(G))
+    assert sorted((int(lo), int(hi)) for hi, lo in edges) == [(x, x + 1) for x in range(n - 1)]
+
+
+def restriction_violations_oracle(GS, GT, incl):
+    """The pairwise loop: pairs of the subsemigroup related in it but not in
+    S, or the other way round."""
+    violations = []
+    m = len(GT.l_class)
+    for name, rel_S, rel_T in (
+        ("L", GS.l_class, GT.l_class),
+        ("R", GS.r_class, GT.r_class),
+        ("H", GS.h_class, GT.h_class),
+    ):
+        for i in range(m):
+            for k in range(i + 1, m):
+                inner = rel_T[i] == rel_T[k]
+                outer = rel_S[incl(i)] == rel_S[incl(k)]
+                if inner != outer:
+                    violations.append((name, incl(i), incl(k)))
+    return tuple(violations)
+
+
+def test_restriction_violations_match_pairwise_loop(monkeypatch, census4):
+    # S's L classes 0 and 1 are merged, so restrictions fail and the
+    # violations, in order, must equal the pairwise loop's
+    real = greens.greens_structure
+    failing = 0
+    for S in census4:
+        G = real(S)
+        if len(G.l_classes) < 2:
+            continue
+        merged = dataclasses.replace(G, l_class=np.where(G.l_class == 1, 0, G.l_class))
+        monkeypatch.setattr(
+            greens, "greens_structure", lambda X, S=S, merged=merged: merged if X is S else real(X)
+        )
+        for T in sk.enumerate_subsemigroups(S):
+            try:
+                report = sk.greens_restriction_check(S, T)
+            except NotRegularSubsemigroup:
+                continue
+            sub, incl = sk.subsemigroup_table(S, T.members)
+            expected = restriction_violations_oracle(merged, real(sub), incl)
+            assert report.violations == expected, (S.name, T.members)
+            assert report.ok == (not expected)
+            failing += bool(expected)
+    assert failing > 100, failing
 
 
 def test_commutative_all_relations_equal(z3):
