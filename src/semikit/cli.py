@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import corpus as corpus_mod
-from .core import FiniteSemigroup, SubsetHandle, center, idempotents, is_cancellative, is_group, is_monoid, read_sg, write_sg, dumps_sg
+from .core import SubsetHandle, center, idempotents, is_cancellative, is_group, is_monoid, read_sg, write_sg, dumps_sg
 from .errors import SemigroupError
 from .greens import eggbox_dot, greens_structure
 from .ideals import kernel, rees_quotient
@@ -27,10 +27,6 @@ from .simple import (
 )
 
 
-def _load(path: str) -> FiniteSemigroup:
-    return read_sg(path)
-
-
 def _emit(args, doc: dict, human: str) -> None:
     if args.format == "structured":
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -39,13 +35,13 @@ def _emit(args, doc: dict, human: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    S = _load(args.file)
+    S = read_sg(args.file)
     _emit(args, {"order": S.order, "associative": True}, f"associative, order {S.order}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    S = _load(args.file)
+    S = read_sg(args.file)
     e = is_monoid(S)
     c = is_cancellative(S)
     bands = band_predicates(S)
@@ -83,7 +79,7 @@ def _eggbox_ascii(G) -> str:
 
 
 def _cmd_greens(args) -> int:
-    S = _load(args.file)
+    S = read_sg(args.file)
     G = greens_structure(S)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -93,7 +89,7 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    S = _load(args.file)
+    S = read_sg(args.file)
     report = kernel(S)
     doc = report.to_dict()
     human_lines = [
@@ -111,7 +107,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    S = _load(args.file)
+    S = read_sg(args.file)
     dec = rees_decompose(S, args.base_idempotent)
     if args.emit_rms:
         write_rms(dec.rms, args.emit_rms)
@@ -140,7 +136,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    S = _load(args.file)
+    S = read_sg(args.file)
     members = tuple(int(tok) for tok in args.ideal.split(","))
     ideal = SubsetHandle(S, members)
     Q, pi = rees_quotient(S, ideal)
@@ -160,7 +156,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_subsemigroups(args) -> int:
-    S = _load(args.file)
+    S = read_sg(args.file)
     subs = enumerate_subsemigroups(S, cap=args.cap)
     doc = {"count": len(subs), "subsemigroups": [list(h.members) for h in subs]}
     human = f"{len(subs)} subsemigroups:\n" + "\n".join(
@@ -299,10 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SemigroupError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, ValueError) as exc:
+    except (SemigroupError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

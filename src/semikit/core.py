@@ -143,11 +143,12 @@ def _light_witness(table: np.ndarray):
     return None
 
 
-def _closure_mask(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
-    """Boolean mask of the subsemigroup generated by gens (worklist closure)."""
-    n = table.shape[0]
-    mask = np.zeros(n, dtype=bool)
+def _closure_mask(table: np.ndarray, gens: Sequence[int], closed: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the subsemigroup generated by gens and the product-closed mask
+    ``closed`` if given: a worklist closure from the gens outside it."""
+    mask = np.zeros(table.shape[0], dtype=bool) if closed is None else closed.copy()
     frontier = np.unique(np.asarray(list(gens), dtype=np.int64))
+    frontier = frontier[~mask[frontier]]
     mask[frontier] = True
     while frontier.size:
         current = np.flatnonzero(mask)
@@ -169,7 +170,7 @@ def _generating_set(table: np.ndarray) -> list[int]:
     for x in range(n):
         if not covered[x]:
             gens.append(x)
-            covered |= _closure_mask(table, gens)
+            covered = _closure_mask(table, [x], covered)
     return gens
 
 
@@ -342,21 +343,11 @@ def is_cancellative(S: FiniteSemigroup) -> CancellativityResult:
     n = S.order
     left = all(len(set(T[c])) == n for c in range(n))
     right = all(len(set(T[:, c])) == n for c in range(n))
-    witness = None
-    if not (left and right):
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(n):
-                    if not left and T[c, a] == T[c, b]:
-                        witness = (a, b, c)
-                        break
-                    if not right and T[a, c] == T[b, c]:
-                        witness = (a, b, c)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+    witness = next(
+        ((a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)
+         if (not left and T[c, a] == T[c, b]) or (not right and T[a, c] == T[b, c])),
+        None,
+    )
     return CancellativityResult(left, right, witness)
 
 

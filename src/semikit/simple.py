@@ -261,10 +261,10 @@ def enumerate_subsemigroups(S: FiniteSemigroup, cap: int = DEFAULT_SEARCH_CAP) -
     frontier: list[tuple[int, ...]] = [()]
     while frontier:
         base = frontier.pop()
-        for x in range(S.order):
-            if x in base:
-                continue
-            members = tuple(np.flatnonzero(_closure_mask(S.table, base + (x,))).tolist())
+        closed = np.zeros(S.order, dtype=bool)
+        closed[list(base)] = True
+        for x in np.flatnonzero(~closed):
+            members = tuple(np.flatnonzero(_closure_mask(S.table, (x,), closed)).tolist())
             if members not in found:
                 found.add(members)
                 frontier.append(members)

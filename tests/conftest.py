@@ -11,6 +11,12 @@ def census4():
 
 
 @pytest.fixture(scope="session")
+def census5():
+    """All 2,133 semigroups of order <= 5 up to isomorphism."""
+    return census(5)
+
+
+@pytest.fixture(scope="session")
 def oracle_instances(census4):
     """The order-<=4 census plus seeded transformation semigroups: the
     instances on which fast paths are checked against their oracles."""

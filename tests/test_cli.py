@@ -149,6 +149,14 @@ def test_gen_rejects_nonpositive_degree(tmp_path, capsys, desc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_census_rejects_nonpositive_order(tmp_path, capsys, order):
+    out = tmp_path / "corpus"
+    assert main(["census", "--max-order", order, "-o", str(out)]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_census_verify_roundtrip(tmp_path, capsys):
     d = tmp_path / "census2"
     assert main(["census", "--max-order", "2", "-o", str(d)]) == 0
@@ -248,7 +256,7 @@ def argvs(draw, d):
         desc = draw(st.sampled_from(_HEADS)) + (":" + ",".join(args) if args else "")
         argv += [desc, "-o", out]
     elif sub == "census":
-        argv += ["--max-order", draw(st.sampled_from(_SMALL + ["5", "99"])), "-o", out]
+        argv += ["--max-order", draw(st.sampled_from(_SMALL + ["6", "99"])), "-o", out]
     else:
         argv += draw(st.sampled_from([[file], ["--corpus", file], []]))
     if draw(st.booleans()):

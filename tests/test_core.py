@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import semikit as sk
-from semikit.core import associativity_witness, dumps_sg, loads_sg
+from semikit.core import _closure_mask, _generating_set, associativity_witness, dumps_sg, loads_sg
+from semikit.corpus import gen_transformation_closure
 from semikit.errors import (
     EmptyGenerators,
     NotAssociative,
@@ -205,3 +208,30 @@ def test_subsemigroup_table_rejects_out_of_range(t2):
 def test_loads_sg_rejects_malformed(text):
     with pytest.raises(ValueError):
         loads_sg(text)
+
+
+def generating_set_oracle(table):
+    """The greedy generating set, each closure taken from scratch."""
+    covered = np.zeros(len(table), dtype=bool)
+    gens = []
+    for x in range(len(table)):
+        if not covered[x]:
+            gens.append(x)
+            covered |= _closure_mask(table, gens)
+    return gens
+
+
+def test_generating_set_matches_oracle(census4):
+    # the seed-3 relabelling puts T(6,4,0)'s generators far from the front
+    T = gen_transformation_closure(6, 4, 0).table
+    p = np.random.default_rng(3).permutation(len(T))
+    inv = np.argsort(p)
+    for table in [S.table for S in census4] + [p[T[np.ix_(inv, inv)]]]:
+        assert _generating_set(table) == generating_set_oracle(table)
+
+
+def test_closure_mask_extends_closed_mask(census4):
+    for S in census4:
+        for x, y in itertools.product(range(S.order), repeat=2):
+            closed = _closure_mask(S.table, [x])
+            assert np.array_equal(_closure_mask(S.table, [y], closed), _closure_mask(S.table, [x, y]))

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import itertools
+import math
 import re
 import tracemalloc
 
@@ -11,7 +14,6 @@ from semikit import corpus as corpus_mod
 from semikit.corpus import (
     CorpusSpec,
     SplitMix64,
-    _enumerate_associative,
     build_corpus,
     canonical_form,
     census,
@@ -177,22 +179,95 @@ def test_transformation_closure_overflow_is_cheap(monkeypatch):
     assert peak < 64 << 20
 
 
-def test_census_counts():
-    counts = {}
-    for S in census(3):
-        counts[S.order] = counts.get(S.order, 0) + 1
+@functools.cache
+def associative_tables_oracle(n):
+    """Every associative labelled n x n table, flattened: a DFS over the
+    cells in row-major order that checks all n^3 triples after each cell."""
+    total = n * n
+    t = [-1] * total
+    out = []
+    triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+
+    def consistent():
+        for a, b, c in triples:
+            ab, bc = t[a * n + b], t[b * n + c]
+            if ab < 0 or bc < 0:
+                continue
+            x, y = t[ab * n + c], t[a * n + bc]
+            if x >= 0 and y >= 0 and x != y:
+                return False
+        return True
+
+    def rec(pos):
+        if pos == total:
+            out.append(tuple(t))
+            return
+        for v in range(n):
+            t[pos] = v
+            if consistent():
+                rec(pos + 1)
+            t[pos] = -1
+
+    rec(0)
+    return out
+
+
+def order_counts(semigroups, max_order):
+    return [sum(S.order == n for S in semigroups) for n in range(1, max_order + 1)]
+
+
+def automorphism_counts(semigroups, n):
+    """|Aut(S)| of each order-n member: the relabellings that fix its table."""
+    tables = np.array([S.table for S in semigroups if S.order == n])
+    counts = np.zeros(len(tables), dtype=np.int64)
+    for p in itertools.permutations(range(n)):
+        p = np.array(p)
+        inv = np.argsort(p)
+        counts += (p[tables[:, inv][:, :, inv]] == tables).all(axis=(1, 2))
+    return counts
+
+
+def test_census_counts(census4, census5):
     # semigroups of order n up to isomorphism: OEIS A023814
-    assert counts == {1: 1, 2: 5, 3: 24}
+    assert order_counts(census5, 5) == [1, 5, 24, 188, 1915]
+    assert census5[: len(census4)] == census4
 
 
-def test_labelled_census_counts_match_oeis():
-    # associative labelled tables of order n: OEIS A023815
-    assert [len(_enumerate_associative(n)) for n in (1, 2, 3, 4)] == [1, 8, 113, 3492]
+@pytest.mark.parametrize("fold", [False, True], ids=["plain", "folded"])
+def test_census_matches_dfs_oracle(census4, fold):
+    # the lex-least table of each class of the DFS's labelled tables, in
+    # lexicographic order, under the same names
+    expected = []
+    for n in range(1, 5):
+        tables = (sk.from_table(n, np.reshape(flat, (n, n))) for flat in associative_tables_oracle(n))
+        forms = {canonical_form(S, fold_opposites=fold) for S in tables}
+        expected += [(f"census-{n}-{i}", form) for i, form in enumerate(sorted(forms))]
+    got = census(4, fold_opposites=True) if fold else census4
+    assert [(S.name, tuple(S.table.ravel().tolist())) for S in got] == expected
+
+
+def test_census_folded_counts_match_oeis():
+    # semigroups of order n up to isomorphism or anti-isomorphism: OEIS A027851
+    assert order_counts(census(5, fold_opposites=True), 5) == [1, 4, 18, 126, 1160]
+
+
+def test_labelled_census_counts_match_oeis(census5):
+    # associative labelled tables of order n, as the sum of n!/|Aut(S)| over
+    # the classes: OEIS A023815
+    labelled = [int((math.factorial(n) // automorphism_counts(census5, n)).sum()) for n in range(1, 6)]
+    assert labelled == [1, 8, 113, 3492, 183732]
+    assert labelled[:4] == [len(associative_tables_oracle(n)) for n in range(1, 5)]
 
 
 def test_census_limit():
     with pytest.raises(CensusLimitExceeded):
-        census(5)
+        census(6)
+
+
+@pytest.mark.parametrize("max_order", [0, -3])
+def test_census_rejects_nonpositive_order(max_order):
+    with pytest.raises(ValueError, match="must be positive"):
+        census(max_order)
 
 
 def test_census_deterministic_fingerprint():
@@ -282,6 +357,20 @@ def test_fixture_rejects_nonpositive_sizes(params):
 def test_verify_suite_census3_zero_failures():
     report = verify_suite(census(3))
     assert report.summary["fail"] == 0
+
+
+def test_verify_suite_order5_sample(census5):
+    # every 40th order-5 class; the swelling lemma is checked exhaustively
+    # at order 5 as well
+    sample = [S for S in census5 if S.order == 5][::40]
+    report = verify_suite(sample)
+    assert (len(sample), len(report.entries), report.summary["fail"]) == (48, 672, 0)
+
+
+def test_swelling_checked_at_order5(monkeypatch, census5):
+    monkeypatch.setattr(corpus_mod, "swelling_check", lambda *args: SwellingVerdict(True, False))
+    report = verify_suite(census5[-1:])
+    assert {e.check for e in report.failures} == {"swelling_implication"}
 
 
 def test_verify_suite_pb_pinned(pb):

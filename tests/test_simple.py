@@ -249,8 +249,8 @@ def test_enumerate_subsemigroups_l2(l2):
     assert subs == [(0,), (1,), (0, 1)]
 
 
-def test_enumerate_subsemigroups_matches_oracle(rb22, t2, pb):
-    for S in (rb22, t2, pb):
+def test_enumerate_subsemigroups_matches_oracle(rb22, t2, pb, census4):
+    for S in (rb22, t2, pb, *census4):
         subs = [h.members for h in sk.enumerate_subsemigroups(S)]
         assert sorted(subs, key=lambda m: (len(m), m)) == brute_subsemigroups(S)
 
