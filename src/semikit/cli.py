@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import corpus as corpus_mod
-from .core import SubsetHandle, center, idempotents, is_cancellative, is_group, is_monoid, read_sg, write_sg, dumps_sg
+from .core import FiniteSemigroup, SubsetHandle, center, idempotents, is_cancellative, is_group, is_monoid, read_sg, write_sg, dumps_sg
 from .errors import SemigroupError
 from .greens import eggbox_dot, greens_structure
 from .ideals import kernel, rees_quotient
@@ -27,6 +27,10 @@ from .simple import (
 )
 
 
+def _load(path: str) -> FiniteSemigroup:
+    return read_sg(path)
+
+
 def _emit(args, doc: dict, human: str) -> None:
     if args.format == "structured":
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -35,13 +39,13 @@ def _emit(args, doc: dict, human: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    S = read_sg(args.file)
+    S = _load(args.file)
     _emit(args, {"order": S.order, "associative": True}, f"associative, order {S.order}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    S = read_sg(args.file)
+    S = _load(args.file)
     e = is_monoid(S)
     c = is_cancellative(S)
     bands = band_predicates(S)
@@ -79,7 +83,7 @@ def _eggbox_ascii(G) -> str:
 
 
 def _cmd_greens(args) -> int:
-    S = read_sg(args.file)
+    S = _load(args.file)
     G = greens_structure(S)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -89,7 +93,7 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    S = read_sg(args.file)
+    S = _load(args.file)
     report = kernel(S)
     doc = report.to_dict()
     human_lines = [
@@ -107,7 +111,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    S = read_sg(args.file)
+    S = _load(args.file)
     dec = rees_decompose(S, args.base_idempotent)
     if args.emit_rms:
         write_rms(dec.rms, args.emit_rms)
@@ -136,7 +140,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    S = read_sg(args.file)
+    S = _load(args.file)
     members = tuple(int(tok) for tok in args.ideal.split(","))
     ideal = SubsetHandle(S, members)
     Q, pi = rees_quotient(S, ideal)
@@ -156,7 +160,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_subsemigroups(args) -> int:
-    S = read_sg(args.file)
+    S = _load(args.file)
     subs = enumerate_subsemigroups(S, cap=args.cap)
     doc = {"count": len(subs), "subsemigroups": [list(h.members) for h in subs]}
     human = f"{len(subs)} subsemigroups:\n" + "\n".join(
@@ -295,7 +299,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SemigroupError, OSError, ValueError) as exc:
+    except SemigroupError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -343,11 +343,21 @@ def is_cancellative(S: FiniteSemigroup) -> CancellativityResult:
     n = S.order
     left = all(len(set(T[c])) == n for c in range(n))
     right = all(len(set(T[:, c])) == n for c in range(n))
-    witness = next(
-        ((a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)
-         if (not left and T[c, a] == T[c, b]) or (not right and T[a, c] == T[b, c])),
-        None,
-    )
+    witness = None
+    if not (left and right):
+        for a in range(n):
+            for b in range(a + 1, n):
+                for c in range(n):
+                    if not left and T[c, a] == T[c, b]:
+                        witness = (a, b, c)
+                        break
+                    if not right and T[a, c] == T[b, c]:
+                        witness = (a, b, c)
+                        break
+                if witness:
+                    break
+            if witness:
+                break
     return CancellativityResult(left, right, witness)
 
 

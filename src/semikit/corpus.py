@@ -253,7 +253,8 @@ def canonical_form(S: FiniteSemigroup, fold_opposites: bool = False) -> tuple[in
     tables = (S.table, S.table.T) if fold_opposites else (S.table,)
     flat = np.array([t.ravel() for t in tables])
     perms, best = itertools.permutations(range(S.order)), None
-    while chunk := list(itertools.islice(perms, 5040)):  # bounds memory
+    step = max(1, _BLOCK // flat.size)  # relabellings per chunk
+    while chunk := list(itertools.islice(perms, step)):
         rel = _relabel(flat, np.array(chunk)).reshape(-1, S.order**2)
         least = rel[np.lexsort(rel.T[::-1])[0]]
         if best is None or _lex_less(least, best):

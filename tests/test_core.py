@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +120,15 @@ def test_is_cancellative(z3, l2, pb):
     left, right, witness = sk.is_cancellative(pb)
     assert (left, right) == (False, False)
     assert witness is not None
+
+
+def test_is_cancellative_group_skips_witness_search():
+    # a group has no witness to find: the two permutation checks take about
+    # 0.2 s, while searching the n^2(n-1)/2 triples anyway takes over 10 s
+    S = sk.gen_standard("cyclic", 1000)
+    start = time.perf_counter()
+    assert sk.is_cancellative(S) == (True, True, None)
+    assert time.perf_counter() - start < 5
 
 
 def test_is_group_is_monoid(z3, l2, t2):
