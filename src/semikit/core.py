@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property, wraps
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -102,9 +102,19 @@ class FiniteSemigroup:
         label = f" {self.name!r}" if self.name else ""
         return f"<FiniteSemigroup{label} order={self.order}>"
 
-    @cached_property
-    def identity(self) -> Optional[int]:
-        return is_monoid(self)
+
+def _derived(compute: Callable) -> Callable:
+    """Run compute(S) once per semigroup and keep its result, plain data with
+    no reference back to S, in ``S.__dict__``; the table is read-only."""
+    key = f"{compute.__module__}.{compute.__qualname__}"  # never an attribute name
+
+    @wraps(compute)
+    def once(S: FiniteSemigroup):
+        if key not in S.__dict__:
+            S.__dict__[key] = compute(S)
+        return S.__dict__[key]
+
+    return once
 
 
 def associativity_witness(table: np.ndarray):
@@ -323,8 +333,12 @@ def closure(S: FiniteSemigroup, gens: Sequence[int]) -> SubsetHandle:
 
 def idempotents(S: FiniteSemigroup) -> SubsetHandle:
     """E(S) = {e : e*e = e}; nonempty for every finite semigroup."""
-    diag = np.flatnonzero(S.table[np.arange(S.order), np.arange(S.order)] == np.arange(S.order))
-    return SubsetHandle(S, tuple(diag))
+    return SubsetHandle(S, _idempotent_members(S))
+
+
+@_derived
+def _idempotent_members(S: FiniteSemigroup) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(S.table.diagonal() == np.arange(S.order)).tolist())
 
 
 class CancellativityResult(NamedTuple):
@@ -361,6 +375,7 @@ def is_cancellative(S: FiniteSemigroup) -> CancellativityResult:
     return CancellativityResult(left, right, witness)
 
 
+@_derived
 def is_monoid(S: FiniteSemigroup) -> Optional[int]:
     """Index of the two-sided identity, if any (it is unique)."""
     n = S.order
@@ -372,7 +387,7 @@ def is_monoid(S: FiniteSemigroup) -> Optional[int]:
 
 
 def is_group(S: FiniteSemigroup) -> bool:
-    e = S.identity
+    e = is_monoid(S)
     if e is None:
         return False
     T = S.table

@@ -43,6 +43,7 @@ from .ideals import (
     enumerate_ideals,
     idempotent_poset,
     kernel,
+    kernel_members,
     minimal_ideal_equivalences,
     swelling_check,
 )
@@ -527,8 +528,7 @@ def _check_h_meet(S):
 
 
 def _check_kernel_rees_roundtrip(S):
-    K = kernel(S).kernel
-    sub, _ = subsemigroup_table(S, K.members)
+    sub, _ = subsemigroup_table(S, kernel_members(S))
     if not is_completely_simple(sub):
         return "kernel not completely simple"
     if not idempotent_poset(sub).primitives:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteSemigroup, SubsetHandle, idempotents, subsemigroup_table
+from .core import FiniteSemigroup, SubsetHandle, _derived, subsemigroup_table
 from .errors import NotAnHClass, NotRegularSubsemigroup
 
 
@@ -77,7 +78,7 @@ class EggBox:
 
 @dataclass(frozen=True)
 class GreensStructure:
-    parent: FiniteSemigroup
+    table: np.ndarray  # the semigroup's read-only Cayley table
     l_class: np.ndarray
     r_class: np.ndarray
     j_class: np.ndarray
@@ -89,7 +90,21 @@ class GreensStructure:
     h_classes: tuple[tuple[int, ...], ...]
     d_classes: tuple[tuple[int, ...], ...]
     eggbox: tuple[EggBox, ...]
-    d_order: tuple[tuple[int, int], ...]  # (lower d_id, higher d_id) J-order pairs
+
+    @cached_property
+    def d_order(self) -> tuple[tuple[int, int], ...]:
+        """Strict J-order pairs (lower d_id, higher d_id), sorted by the higher,
+        built on first read: S^1 x S^1 is the union of S^1 y over y in x S^1."""
+        left_bits = np.packbits(_ideal_rows(self.table, "l"), axis=1)
+        right = _ideal_rows(self.table, "r")
+        k = len(self.d_classes)
+        above = np.zeros((k, k), dtype=bool)  # above[hi, lo]: D_lo lies under D_hi
+        for hi, dm in enumerate(self.d_classes):
+            ideal = np.bitwise_or.reduce(left_bits[right[dm[0]]])
+            above[hi, self.d_class[np.unpackbits(ideal, count=len(self.table)).view(bool)]] = True
+        np.fill_diagonal(above, False)
+        hi, lo = np.nonzero(above)  # row-major: sorted by hi, then lo
+        return tuple(zip(lo.tolist(), hi.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -110,24 +125,27 @@ class GreensStructure:
         }
 
 
-def greens_structure(S: FiniteSemigroup) -> GreensStructure:
-    """Compute the five Green partitions and the egg-box grids.
+def _lrh_labels(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L and R labels from principal one-sided ideals, and H, their meet."""
+    l = _labels(np.packbits(_ideal_rows(T, "l"), axis=1))
+    r = _labels(np.packbits(_ideal_rows(T, "r"), axis=1))
+    return l, r, _labels(np.stack((l, r), axis=1))
 
-    L and R compare principal one-sided ideals and H is their meet.  D is
-    L∘R, so the least member of D_x is the least member of R_z over z in
-    L_x.  On a finite semigroup D = J, so the J partition is D's.
-    """
-    T = S.table
+
+@_derived
+def greens_structure(S: FiniteSemigroup) -> GreensStructure:
+    """The five Green partitions and the egg-box grids, once per semigroup.
+    D is L∘R, so the least member of D_x is the least member of R_z over z
+    in L_x.  On a finite semigroup D = J, so the J partition is D's."""
     n = S.order
-    left_bits = np.packbits(_ideal_rows(T, "l"), axis=1)
-    right = _ideal_rows(T, "r")
-    l, r = _labels(left_bits), _labels(np.packbits(right, axis=1))
-    h = _labels(np.stack((l, r), axis=1))
+    l, r, h = _lrh_labels(S.table)
     r_least = np.full(n, n)
     np.minimum.at(r_least, r, np.arange(n))
     d_least = np.full(n, n)
     np.minimum.at(d_least, l, r_least[r])
     d = _labels(d_least[l])
+    for labels in (l, r, h, d):
+        labels.setflags(write=False)  # shared by every caller
 
     eggboxes = []
     d_members = _members_of(d)
@@ -143,10 +161,9 @@ def greens_structure(S: FiniteSemigroup) -> GreensStructure:
         )
         eggboxes.append(EggBox(d_id, tuple(r_ids), tuple(l_ids), cells))
 
-    d_order = _d_class_order(left_bits, right, d, d_members)
     d_classes = tuple(tuple(m) for m in d_members)
     return GreensStructure(
-        parent=S,
+        table=S.table,
         l_class=l,
         r_class=r,
         j_class=d,
@@ -158,30 +175,14 @@ def greens_structure(S: FiniteSemigroup) -> GreensStructure:
         h_classes=tuple(_members_of(h)),
         d_classes=d_classes,
         eggbox=tuple(eggboxes),
-        d_order=d_order,
     )
-
-
-def _d_class_order(left_bits, right, d, d_members) -> tuple[tuple[int, int], ...]:
-    """Strict J-order pairs (lower, higher) between D-classes (finite: D=J),
-    sorted by the higher class.  S^1 x S^1 is the union of the rows S^1 y
-    (packed bits) over y in x S^1."""
-    k = len(d_members)
-    above = np.zeros((k, k), dtype=bool)  # above[hi, lo]: D_lo lies under D_hi
-    for hi, dm in enumerate(d_members):
-        ideal = np.bitwise_or.reduce(left_bits[right[dm[0]]])
-        above[hi, d[np.unpackbits(ideal, count=len(d)).view(bool)]] = True
-    np.fill_diagonal(above, False)
-    hi, lo = np.nonzero(above)  # row-major: sorted by hi, then lo
-    return tuple(zip(lo.tolist(), hi.tolist()))
 
 
 def eggbox_dot(G: GreensStructure) -> str:
     """Deterministic DOT rendering: one cluster per D-class, one node per
     H-class (starred when the H-class is a group), J-order edges between
     clusters."""
-    S = G.parent
-    E = set(idempotents(S).members)
+    E = set(np.flatnonzero(G.table.diagonal() == np.arange(len(G.table))).tolist())
     lines = ["digraph eggbox {", "  compound=true;", "  node [shape=box];"]
     first_node: dict[int, str] = {}
     for box in G.eggbox:
@@ -240,17 +241,18 @@ def greens_restriction_check(S: FiniteSemigroup, T: SubsetHandle) -> Restriction
     """Check L^T = L^S ∩ (T×T) (and the R, H analogues) for a regular
     subsemigroup T."""
     sub, incl = subsemigroup_table(S, T.members)
-    for x in range(sub.order):
-        if not is_regular(sub, x):
-            raise NotRegularSubsemigroup(
-                f"element {incl(x)} is not regular inside the subsemigroup"
-            )
+    U, idx = sub.table, np.arange(sub.order)[:, None]
+    regular = (U[U, idx] == idx).any(axis=1)  # x*t*x = x for some t
+    if not regular.all():
+        x = incl(int(np.argmin(regular)))  # the least non-regular element
+        raise NotRegularSubsemigroup(f"element {x} is not regular inside the subsemigroup")
     GS = greens_structure(S)
-    GT = greens_structure(sub)
     members = np.asarray(incl.map)
     violations = []
-    for name, attr in (("L", "l_class"), ("R", "r_class"), ("H", "h_class")):
-        inner, outer = getattr(GT, attr), getattr(GS, attr)[members]
+    for name, attr, inner in zip("LRH", ("l_class", "r_class", "h_class"), _lrh_labels(U)):
+        outer = getattr(GS, attr)[members]
+        if np.array_equal(_labels(outer), inner):
+            continue  # T's classes are S's classes restricted to T
         differ = (inner[:, None] == inner) != (outer[:, None] == outer)
         pairs = np.argwhere(np.triu(differ, 1)).tolist()  # row-major: i < k
         violations += [(name, incl(i), incl(k)) for i, k in pairs]
@@ -265,22 +267,15 @@ class StabilityResult(NamedTuple):
 
 def is_stable(S: FiniteSemigroup) -> StabilityResult:
     """Right: s J sx => s R sx; left: s J xs => s L xs.  Finite semigroups
-    are stable, so a False here signals an internal bug."""
+    are stable, so a False here signals an internal bug.  The witness
+    (s, x) has the least s, and its right-side failure before its left."""
     G = greens_structure(S)
-    T = S.table
-    n = S.order
-    right = True
-    left = True
-    witness = None
-    for s in range(n):
-        sx = T[s, :]
-        bad = (G.j_class[sx] == G.j_class[s]) & (G.r_class[sx] != G.r_class[s])
-        if bad.any():
-            right = False
-            witness = witness or (s, int(np.flatnonzero(bad)[0]))
-        xs = T[:, s]
-        bad = (G.j_class[xs] == G.j_class[s]) & (G.l_class[xs] != G.l_class[s])
-        if bad.any():
-            left = False
-            witness = witness or (s, int(np.flatnonzero(bad)[0]))
-    return StabilityResult(right, left, witness)
+    T, j = S.table, G.j_class
+    bad = np.stack(  # bad[s, side, x]: side 0 reads sx, side 1 reads xs
+        ((j[T] == j[:, None]) & (G.r_class[T] != G.r_class[:, None]),
+         (j[T.T] == j[:, None]) & (G.l_class[T.T] != G.l_class[:, None])),
+        axis=1,
+    )
+    s, _, x = np.unravel_index(np.argmax(bad), bad.shape)  # first True, row-major
+    right, left = (~bad.any(axis=(0, 2))).tolist()
+    return StabilityResult(right, left, None if right and left else (int(s), int(x)))

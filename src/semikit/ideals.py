@@ -12,6 +12,7 @@ from .core import (
     FiniteSemigroup,
     SemigroupMorphism,
     SubsetHandle,
+    _derived,
     idempotents,
     is_group,
     subsemigroup_table,
@@ -100,9 +101,10 @@ def minimal_ideal_equivalences(S: FiniteSemigroup, e: int) -> MinimalIdealVerdic
     return MinimalIdealVerdict(p1, p2, p3, p4)
 
 
+@_derived
 def kernel_members(S: FiniteSemigroup) -> tuple[int, ...]:
-    """The unique minimal ideal K = S^1 z S^1, where z is the product of all
-    elements: z lies in every principal ideal, hence in K."""
+    """The unique minimal ideal K = S^1 z S^1, once per semigroup: z, the
+    product of all elements, lies in every principal ideal, hence in K."""
     T = S.table
     z = 0
     for x in range(1, S.order):

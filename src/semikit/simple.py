@@ -16,6 +16,7 @@ from .core import (
     SubsetHandle,
     _check_order,
     _closure_mask,
+    _derived,
     _int_rows,
     _positions,
     from_table,
@@ -154,7 +155,7 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
 
 def _group_inverses(G: FiniteSemigroup) -> np.ndarray:
     """inv[g] for every element g of the group G."""
-    return np.argmax(G.table == G.identity, axis=1)
+    return np.argmax(G.table == is_monoid(G), axis=1)
 
 
 def _closed_form_agreement(S, e, rms, gpos, i_arr, lam_arr, g_arr, psi) -> tuple[bool, ...]:
@@ -249,7 +250,7 @@ def h_finiteness(S: FiniteSemigroup) -> HFiniteness:
 
 
 def enumerate_subsemigroups(S: FiniteSemigroup, cap: int = DEFAULT_SEARCH_CAP) -> list[SubsetHandle]:
-    """All nonempty product-closed subsets, by closure-based generation.
+    """All nonempty product-closed subsets, by closure-based generation, once per semigroup.
 
     Nothing is re-verified here; on completely simple S the verify harness
     replays the (J, W, Gamma) classification and the counting bound over
@@ -257,6 +258,11 @@ def enumerate_subsemigroups(S: FiniteSemigroup, cap: int = DEFAULT_SEARCH_CAP) -
     """
     if S.order > cap:
         raise SearchCapExceeded(f"order {S.order} exceeds cap {cap}")
+    return [SubsetHandle(S, m) for m in _subsemigroup_members(S)]
+
+
+@_derived
+def _subsemigroup_members(S: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
     found: set[tuple[int, ...]] = set()
     frontier: list[tuple[int, ...]] = [()]
     while frontier:
@@ -268,10 +274,7 @@ def enumerate_subsemigroups(S: FiniteSemigroup, cap: int = DEFAULT_SEARCH_CAP) -
             if members not in found:
                 found.add(members)
                 frontier.append(members)
-    return [
-        SubsetHandle(S, members)
-        for members in sorted(found, key=lambda m: (len(m), m))
-    ]
+    return tuple(sorted(found, key=lambda m: (len(m), m)))
 
 
 def subsemigroup_of_group_check(G: FiniteSemigroup, T: SubsetHandle) -> bool:
@@ -281,7 +284,7 @@ def subsemigroup_of_group_check(G: FiniteSemigroup, T: SubsetHandle) -> bool:
     if not is_group(G):
         raise NotAGroup("subsemigroup_of_group_check requires a group")
     subsemigroup_table(G, T.members)  # raises NotASubsemigroup
-    identity = G.identity
+    identity = is_monoid(G)
     return identity in T.member_set and all(
         any(G.product(x, y) == identity for y in T.members) for x in T.members
     )

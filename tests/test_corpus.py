@@ -367,6 +367,12 @@ def test_verify_suite_order5_sample(census5):
     assert (len(sample), len(report.entries), report.summary["fail"]) == (48, 672, 0)
 
 
+def test_verify_suite_order5_exhaustive(census5):
+    # the whole theorem suite over all 2,133 semigroups of order <= 5
+    report = verify_suite(census5)
+    assert (len(report.entries), report.summary["fail"]) == (29862, 0)
+
+
 def test_swelling_checked_at_order5(monkeypatch, census5):
     monkeypatch.setattr(corpus_mod, "swelling_check", lambda *args: SwellingVerdict(True, False))
     report = verify_suite(census5[-1:])

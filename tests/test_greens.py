@@ -307,3 +307,68 @@ def test_restriction_rejects_irregular(t2):
 def test_stability(z3, l2, t2, pb, rb22):
     for S in (z3, l2, t2, pb, rb22):
         assert sk.is_stable(S) == (True, True, None)
+
+
+def regularity_message_oracle(S, T):
+    """The per-element loop: the message for the first non-regular element
+    of the subsemigroup T, or None when T is regular."""
+    sub, incl = sk.subsemigroup_table(S, T.members)
+    for x in range(sub.order):
+        if not sk.is_regular(sub, x):
+            return f"element {incl(x)} is not regular inside the subsemigroup"
+    return None
+
+
+def test_restriction_regularity_matches_loop(census4):
+    irregular = 0
+    for S in census4:
+        for T in sk.enumerate_subsemigroups(S):
+            try:
+                sk.greens_restriction_check(S, T)
+                message = None
+            except NotRegularSubsemigroup as exc:
+                message = str(exc)
+            assert message == regularity_message_oracle(S, T), (S.name, T.members)
+            irregular += message is not None
+    assert irregular > 100, irregular
+
+
+def stability_oracle(S, G):
+    """The per-row loop: right side before left side for each s."""
+    T = S.table
+    right, left, witness = True, True, None
+    for s in range(S.order):
+        bad = (G.j_class[T[s, :]] == G.j_class[s]) & (G.r_class[T[s, :]] != G.r_class[s])
+        if bad.any():
+            right = False
+            witness = witness or (s, int(np.flatnonzero(bad)[0]))
+        bad = (G.j_class[T[:, s]] == G.j_class[s]) & (G.l_class[T[:, s]] != G.l_class[s])
+        if bad.any():
+            left = False
+            witness = witness or (s, int(np.flatnonzero(bad)[0]))
+    return (right, left, witness)
+
+
+def test_stability_matches_row_loop(monkeypatch, census4):
+    # merging two L (or R) classes can only hide instability, so the broken
+    # structures merge J classes or split L or R into singletons; the
+    # witnesses, sides and their order must equal the per-row loop's
+    real = greens.greens_structure
+    seen = set()
+    for S in census4:
+        G = real(S)
+        assert tuple(sk.is_stable(S)) == stability_oracle(S, G) == (True, True, None)
+        merged_j = np.where(G.j_class == 1, 0, G.j_class)
+        singletons = np.arange(S.order)
+        for broken in (
+            dataclasses.replace(G, j_class=merged_j),
+            dataclasses.replace(G, j_class=merged_j, r_class=singletons),
+            dataclasses.replace(G, l_class=singletons),
+            dataclasses.replace(G, r_class=singletons),
+            dataclasses.replace(G, j_class=0 * singletons, l_class=singletons, r_class=singletons),
+        ):
+            monkeypatch.setattr(greens, "greens_structure", lambda X, S=S, b=broken: b if X is S else real(X))
+            result = tuple(sk.is_stable(S))
+            assert result == stability_oracle(S, broken), (S.name, result)
+            seen.add(result[:2])
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
