@@ -25,7 +25,7 @@ from .errors import (
 DEFAULT_MAX_ORDER = 4096
 # Above this order the O(n^3) direct check gives way to Light's test.
 DIRECT_CHECK_LIMIT = 256
-_ASSOC_BLOCK = 32
+_BLOCK = 1 << 19  # entries gathered at once; bounds transient memory
 
 
 def max_order() -> int:
@@ -127,8 +127,9 @@ def associativity_witness(table: np.ndarray):
     """
     n = table.shape[0]
     if n <= DIRECT_CHECK_LIMIT:
-        for start in range(0, n, _ASSOC_BLOCK):
-            rows = np.arange(start, min(start + _ASSOC_BLOCK, n))
+        step = max(1, _BLOCK // (n * n))
+        for start in range(0, n, step):
+            rows = np.arange(start, min(start + step, n))
             # left[a,b,c] = (a*b)*c ; right[a,b,c] = a*(b*c)
             left = table[table[rows]]
             right = table[rows][:, table.reshape(-1)].reshape(len(rows), n, n)
@@ -301,7 +302,8 @@ def adjoin_identity(S: FiniteSemigroup):
     table[:n, :n] = S.table
     table[n, : n + 1] = np.arange(n + 1)
     table[: n + 1, n] = np.arange(n + 1)
-    monoid = FiniteSemigroup(table, name=f"{S.name}^1" if S.name else None)
+    name = f"{S.name}^1" if S.name else None
+    monoid = FiniteSemigroup(table, name=name, validate=False)  # associative as S is
     return monoid, SemigroupMorphism(S, monoid, tuple(range(n)))
 
 
@@ -348,31 +350,31 @@ class CancellativityResult(NamedTuple):
 
 
 def is_cancellative(S: FiniteSemigroup) -> CancellativityResult:
-    """Left/right cancellativity with a deterministic first witness.
-
-    The witness triple is (a, b, c) with a < b; it means c*a = c*b when the
-    left side fails, a*c = b*c when only the right side fails.
-    """
+    """Left/right cancellativity with a deterministic first witness: the
+    least (a, b, c), a < b, with c*a = c*b on a failing left side or a*c = b*c
+    on a failing right side, which is the left side of the opposite table T.T."""
     T = S.table
     n = S.order
     left = all(len(set(T[c])) == n for c in range(n))
     right = all(len(set(T[:, c])) == n for c in range(n))
-    witness = None
-    if not (left and right):
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(n):
-                    if not left and T[c, a] == T[c, b]:
-                        witness = (a, b, c)
-                        break
-                    if not right and T[a, c] == T[b, c]:
-                        witness = (a, b, c)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    return CancellativityResult(left, right, witness)
+    found = [_first_collision(U) for ok, U in ((left, T), (right, T.T)) if not ok]
+    return CancellativityResult(left, right, min(found, default=None))
+
+
+def _first_collision(U: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The least (a, b, c) with a < b and U[c, a] == U[c, b], or None."""
+    n = len(U)
+    a, step = n, max(1, _BLOCK // n)
+    for start in range(0, n, step):
+        block = U[start : start + step].astype(np.min_scalar_type(n - 1))  # radix-sorted
+        order = block.argsort(axis=1, kind="stable")  # equal entries keep column order
+        runs = np.sort(block, axis=1)
+        a = min(a, int(order[:, :-1][runs[:, 1:] == runs[:, :-1]].min(initial=n)))
+    if a == n:
+        return None
+    same = U[:, a + 1 :] == U[:, a, None]
+    b = int(same.any(axis=0).argmax())
+    return a, a + 1 + b, int(same[:, b].argmax())
 
 
 @_derived

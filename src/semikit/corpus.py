@@ -4,6 +4,7 @@ generated instance."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -13,6 +14,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .core import (
+    _BLOCK,
     FiniteSemigroup,
     SubsetHandle,
     _check_order,
@@ -33,7 +35,9 @@ from .errors import (
     UnknownGenerator,
 )
 from .greens import (
+    _labels,
     _two_sided_ideal_members,
+    _two_sided_rows,
     greens_structure,
     greens_restriction_check,
     is_stable,
@@ -192,9 +196,6 @@ def gen_random_rees(
         [rng.below(group.order) for _ in range(i_size)] for _ in range(lambda_size)
     ]
     return rees_construct(i_size, lambda_size, group, sandwich)
-
-
-_BLOCK = 1 << 19  # map entries gathered at once; bounds transient memory
 
 
 def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSemigroup:
@@ -502,12 +503,9 @@ def _check_swelling(S):
 
 def _check_d_composition(S):
     G = greens_structure(S)
-    ideals: dict[bytes, int] = {}  # J classes, numbered by least member
-    j = [
-        ideals.setdefault(_two_sided_ideal_members(S.table, x).tobytes(), len(ideals))
-        for x in range(S.order)
-    ]
-    if G.d_class.tolist() != j:
+    every = np.arange(S.order)
+    j = _labels(_two_sided_rows(S.table, every, every))  # by principal ideal S^1 x S^1
+    if not np.array_equal(G.d_class, j):
         return "D != J"
     # every egg-box cell nonempty <=> D = RL = LR inside each D-class
     for box in G.eggbox:
@@ -556,10 +554,11 @@ def _check_subsemigroup_classification(S):
     if not is_completely_simple(S):
         return None
     subs = enumerate_subsemigroups(S, cap=max(16, S.order))
+    at = functools.cache(lambda e: rees_decompose(S, e))  # one per base idempotent
     for T in subs:
         J, W, Gamma, dec_T = subsemigroup_decompose(S, T)
         # S's coordinates at T's base idempotent; T.members[k] is T's element k
-        dec_S = rees_decompose(S, T.members[dec_T.e])
+        dec_S = at(T.members[dec_T.e])
         where = f"T={list(T.members)}"
         if not set(J.members) <= set(dec_S.i_elements):
             return f"J is not contained in I at {where}"
@@ -574,7 +573,7 @@ def _check_subsemigroup_classification(S):
         p_T = np.asarray(T.members)[np.asarray(dec_T.group_elements)[dec_T.rms.sandwich]]
         if not np.array_equal(p_S, p_T):
             return f"sandwich matrix does not restrict at {where}"
-    dec = rees_decompose(S)
+    dec = at(idempotents(S).members[0])  # rees_decompose(S)'s base idempotent
     n_subgroups = len(enumerate_subsemigroups(dec.rms.group, cap=max(16, dec.rms.group.order)))
     bound = n_subgroups * 2**dec.rms.i_size * 2**dec.rms.lambda_size
     if len(subs) > bound:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -18,13 +18,12 @@ class PrincipalIdeals(NamedTuple):
     two_sided: SubsetHandle
 
 
-def _left_ideal_members(T: np.ndarray, s: int) -> np.ndarray:
-    """S^1 s as a sorted index array ({s} together with column s)."""
-    return np.unique(np.append(T[:, s], s))
-
-
 def _right_ideal_members(T: np.ndarray, s: int) -> np.ndarray:
-    return np.unique(np.append(T[s, :], s))
+    """s S^1 as a sorted index array.  A left ideal of S is a right ideal of
+    the opposite semigroup, whose table is T.T, so S^1 s is this over T.T."""
+    inside = np.zeros(len(T), dtype=bool)
+    inside[T[s]] = inside[s] = True
+    return inside.nonzero()[0]
 
 
 def _two_sided_ideal_members(T: np.ndarray, s: int) -> np.ndarray:
@@ -36,19 +35,27 @@ def principal_ideals(S: FiniteSemigroup, s: int) -> PrincipalIdeals:
     """The three principal ideals S^1 s, s S^1 and S^1 s S^1."""
     T = S.table
     return PrincipalIdeals(
-        SubsetHandle(S, tuple(_left_ideal_members(T, s))),
+        SubsetHandle(S, tuple(_right_ideal_members(T.T, s))),
         SubsetHandle(S, tuple(_right_ideal_members(T, s))),
         SubsetHandle(S, tuple(_two_sided_ideal_members(T, s))),
     )
 
 
-def _ideal_rows(T: np.ndarray, side: str) -> np.ndarray:
-    """Membership rows of the principal one-sided ideals: row s of the n×n
-    bool array is S^1 s for side "l" and s S^1 for side "r"."""
-    s = np.arange(T.shape[0])
-    rows = np.eye(len(s), dtype=bool)
-    rows[s[None, :] if side == "l" else s[:, None], T] = True  # x*s in S^1 s, s*x in s S^1
+def _ideal_rows(T: np.ndarray) -> np.ndarray:
+    """Membership rows of the principal right ideals: row s of the n×n bool
+    array is s S^1 (S^1 s over T.T)."""
+    rows = np.eye(len(T), dtype=bool)
+    rows[np.arange(len(T))[:, None], T] = True  # s*x in s S^1
     return rows
+
+
+def _two_sided_rows(T: np.ndarray, rows, cols) -> np.ndarray:
+    """out[i, k]: cols[k] lies in S^1 x S^1 for x = rows[i].  S^1 x S^1 is the
+    union of S^1 y over y in x S^1: one float32 product of membership rows,
+    exact below order 2**24."""
+    right = _ideal_rows(T)[rows].astype(np.float32)
+    left = _ideal_rows(T.T)[:, cols].astype(np.float32)
+    return right @ left > 0
 
 
 def _labels(keys: np.ndarray) -> np.ndarray:
@@ -92,18 +99,18 @@ class GreensStructure:
     eggbox: tuple[EggBox, ...]
 
     @cached_property
+    def _below(self) -> np.ndarray:
+        """k×k bool, built on first read: [lo, hi] when D_lo lies strictly
+        under D_hi, each D-class read at its least member."""
+        reps = [m[0] for m in self.d_classes]
+        below = _two_sided_rows(self.table, reps, reps).T
+        np.fill_diagonal(below, False)
+        return below
+
+    @property
     def d_order(self) -> tuple[tuple[int, int], ...]:
-        """Strict J-order pairs (lower d_id, higher d_id), sorted by the higher,
-        built on first read: S^1 x S^1 is the union of S^1 y over y in x S^1."""
-        left_bits = np.packbits(_ideal_rows(self.table, "l"), axis=1)
-        right = _ideal_rows(self.table, "r")
-        k = len(self.d_classes)
-        above = np.zeros((k, k), dtype=bool)  # above[hi, lo]: D_lo lies under D_hi
-        for hi, dm in enumerate(self.d_classes):
-            ideal = np.bitwise_or.reduce(left_bits[right[dm[0]]])
-            above[hi, self.d_class[np.unpackbits(ideal, count=len(self.table)).view(bool)]] = True
-        np.fill_diagonal(above, False)
-        hi, lo = np.nonzero(above)  # row-major: sorted by hi, then lo
+        """Strict J-order pairs (lower d_id, higher d_id), sorted by the higher."""
+        hi, lo = np.nonzero(self._below.T)  # row-major: sorted by hi, then lo
         return tuple(zip(lo.tolist(), hi.tolist()))
 
     def to_dict(self) -> dict:
@@ -127,8 +134,7 @@ class GreensStructure:
 
 def _lrh_labels(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """L and R labels from principal one-sided ideals, and H, their meet."""
-    l = _labels(np.packbits(_ideal_rows(T, "l"), axis=1))
-    r = _labels(np.packbits(_ideal_rows(T, "r"), axis=1))
+    l, r = (_labels(np.packbits(_ideal_rows(U), axis=1)) for U in (T.T, T))
     return l, r, _labels(np.stack((l, r), axis=1))
 
 
@@ -196,23 +202,15 @@ def eggbox_dot(G: GreensStructure) -> str:
                 label = "{" + ",".join(str(x) for x in cell) + "}" + star
                 lines.append(f'    {node} [label="{label}"];')
         lines.append("  }")
-    covers = _hasse(G.d_order, len(G.d_classes))
-    for lo, hi in covers:
+    below = G._below.astype(np.float32)  # float for BLAS; 0 only where no middle class
+    covers = np.argwhere((below > 0) & (below @ below == 0))  # row-major: sorted
+    for lo, hi in covers.tolist():
         lines.append(
             f"  {first_node[hi]} -> {first_node[lo]} "
             f"[ltail=cluster_d{hi}, lhead=cluster_d{lo}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _hasse(order_pairs: Sequence[tuple[int, int]], k: int) -> list[tuple[int, int]]:
-    """Covering pairs of a strict order, sorted: (lo, hi) with no class between."""
-    below = np.zeros((k, k), dtype=np.float32)  # float for BLAS; 0 only where no middle class
-    lo, hi = np.array(order_pairs, dtype=np.int64).reshape(-1, 2).T
-    below[lo, hi] = 1
-    lo, hi = np.nonzero((below > 0) & (below @ below == 0))
-    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def h_class_is_group(S: FiniteSemigroup, h: SubsetHandle) -> bool:

@@ -23,26 +23,15 @@ from .errors import (
     NotIdempotent,
     SearchCapExceeded,
 )
-from .greens import (
-    _left_ideal_members,
-    _right_ideal_members,
-    _two_sided_ideal_members,
-)
+from .greens import _right_ideal_members, _two_sided_ideal_members
 
 # Full ideal enumeration walks 2^n subsets.
 IDEAL_ENUM_LIMIT = 6
 
 
-def _is_left_ideal(T: np.ndarray, members) -> bool:
-    """Nonempty and closed under multiplication on the left."""
-    mem = np.asarray(members, dtype=np.int64)
-    inside = np.zeros(T.shape[0], dtype=bool)
-    inside[mem] = True
-    return bool(mem.size and inside[T[:, mem]].all())
-
-
 def _is_right_ideal(T: np.ndarray, members) -> bool:
-    """Nonempty and closed under multiplication on the right."""
+    """Nonempty and closed under multiplication on the right; over T.T,
+    closed on the left (a left ideal)."""
     mem = np.asarray(members, dtype=np.int64)
     inside = np.zeros(T.shape[0], dtype=bool)
     inside[mem] = True
@@ -50,7 +39,7 @@ def _is_right_ideal(T: np.ndarray, members) -> bool:
 
 
 def _is_two_sided_ideal(T: np.ndarray, members) -> bool:
-    return _is_left_ideal(T, members) and _is_right_ideal(T, members)
+    return _is_right_ideal(T.T, members) and _is_right_ideal(T, members)
 
 
 def is_minimal_one_sided_ideal(S: FiniteSemigroup, members: Sequence[int], side: str) -> bool:
@@ -58,13 +47,11 @@ def is_minimal_one_sided_ideal(S: FiniteSemigroup, members: Sequence[int], side:
     iff S^1 x = L for every x in L (dually for right ideals)."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    T = S.table
+    U = S.table.T if side == "left" else S.table  # left ideals are right ideals of U
     mem = sorted(set(int(m) for m in members))
-    check = _is_left_ideal if side == "left" else _is_right_ideal
-    if not check(T, mem):
+    if not _is_right_ideal(U, mem):
         raise NotAnIdeal(f"{mem} is not a {side} ideal")
-    principal = _left_ideal_members if side == "left" else _right_ideal_members
-    return all(np.array_equal(principal(T, x), mem) for x in mem)
+    return all(np.array_equal(_right_ideal_members(U, x), mem) for x in mem)
 
 
 class MinimalIdealVerdict(NamedTuple):
@@ -87,8 +74,8 @@ def minimal_ideal_equivalences(S: FiniteSemigroup, e: int) -> MinimalIdealVerdic
     T = S.table
     if S.product(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent")
-    se = np.unique(T[:, e])
-    es = np.unique(T[e, :])
+    se = _right_ideal_members(T.T, e)  # Se = S^1 e, as e = ee
+    es = _right_ideal_members(T, e)
     ese = np.unique(T[T[e, :], e])
     ses = np.unique(T[se, :].ravel())
 
@@ -145,8 +132,8 @@ def kernel(S: FiniteSemigroup) -> KernelReport:
     right_sets: dict[tuple[int, ...], SubsetHandle] = {}
     for e in ek:
         witnesses[e] = minimal_ideal_equivalences(S, e)
-        se = tuple(int(x) for x in np.unique(T[:, e]))
-        es = tuple(int(x) for x in np.unique(T[e, :]))
+        se = tuple(_right_ideal_members(T.T, e).tolist())
+        es = tuple(_right_ideal_members(T, e).tolist())
         left_sets.setdefault(se, SubsetHandle(S, se))
         right_sets.setdefault(es, SubsetHandle(S, es))
 

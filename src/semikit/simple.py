@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     SearchCapExceeded,
 )
-from .greens import greens_structure
+from .greens import _right_ideal_members, greens_structure
 from .ideals import kernel_members
 
 DEFAULT_SEARCH_CAP = 16
@@ -130,8 +130,8 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
     e = int(np.argmax(is_idem)) if e is None else int(e)
     if not is_idem[e]:
         raise NotIdempotent(f"{e} is not idempotent")
-    se = np.unique(T[:, e])
-    es = np.unique(T[e, :])
+    se = _right_ideal_members(T.T, e)  # Se = S^1 e, as e = ee
+    es = _right_ideal_members(T, e)
     i_arr = se[is_idem[se]]
     lam_arr = es[is_idem[es]]
     g_arr = np.unique(T[T[e, :], e])  # eSe = H_e

@@ -131,6 +131,33 @@ def test_is_cancellative_group_skips_witness_search():
     assert time.perf_counter() - start < 5
 
 
+def cancellative_oracle(S):
+    """The interleaved triple loop: the first (a, b, c), a < b, with
+    c*a = c*b on a failing left side or a*c = b*c on a failing right side."""
+    T, n = S.table.tolist(), S.order
+    left = all(len(set(row)) == n for row in T)
+    right = all(len(set(col)) == n for col in zip(*T))
+    for a, b in itertools.combinations(range(n), 2):
+        for c in range(n):
+            if (not left and T[c][a] == T[c][b]) or (not right and T[a][c] == T[b][c]):
+                return left, right, (a, b, c)
+    return left, right, None
+
+
+def test_is_cancellative_matches_triple_loop(census5):
+    instances = list(census5) + [
+        gen_transformation_closure(degree, maps, seed)
+        for degree in (2, 3, 4) for maps in (1, 2) for seed in range(8)
+    ]
+    sides = set()
+    for S in instances:
+        result = tuple(sk.is_cancellative(S))
+        assert result == cancellative_oracle(S), (S.name, result)
+        sides.add(result[:2])
+    # left-only, right-only and two-sided failures all occur
+    assert sides == {(True, True), (False, True), (True, False), (False, False)}
+
+
 def test_is_group_is_monoid(z3, l2, t2):
     assert sk.is_group(z3) and sk.is_monoid(z3) == 0
     assert not sk.is_group(l2) and sk.is_monoid(l2) is None

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +145,32 @@ def test_greens_chain_semilattice():
     assert set(G.d_order) == {(lo, hi) for hi in range(n) for lo in range(hi)}
     edges = re.findall(r"ltail=cluster_d(\d+), lhead=cluster_d(\d+)", sk.eggbox_dot(G))
     assert sorted((int(lo), int(hi)) for hi, lo in edges) == [(x, x + 1) for x in range(n - 1)]
+
+
+def chain(n):
+    i = np.arange(n)
+    return sk.FiniteSemigroup(np.minimum.outer(i, i), validate=False)
+
+
+def test_eggbox_dot_pinned(census4):
+    # clusters, H-class nodes and J-order covers, byte for byte
+    h = hashlib.sha256()
+    for S in list(census4) + [chain(300), gen_transformation_closure(6, 3, 0)]:
+        h.update(sk.eggbox_dot(greens_structure(S)).encode())
+    assert h.hexdigest() == "8a2a9f72f302543c95baad2d017e34ae5126b139ffbd25c8867ab81045bbd217"
+
+
+def test_eggbox_dot_memory_bounded():
+    # the order-2000 chain has 1,999,000 strict J-order pairs; the covers
+    # come from the k×k matrix without building them
+    tracemalloc.start()
+    try:
+        dot = sk.eggbox_dot(greens_structure(chain(2000)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dot.count("ltail=") == 1999
+    assert peak < 120 << 20
 
 
 def restriction_violations_oracle(GS, GT, incl):
