@@ -23,7 +23,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 4096
-# Above this order the O(n^3) direct check gives way to Light's test.
+# Above this order associativity is checked against a generating set only.
 DIRECT_CHECK_LIMIT = 256
 _BLOCK = 1 << 19  # entries gathered at once; bounds transient memory
 
@@ -118,39 +118,26 @@ def _derived(compute: Callable) -> Callable:
 
 
 def associativity_witness(table: np.ndarray):
-    """A triple (a,b,c) violating associativity, or None.
+    """A triple (a, g, c) violating associativity, or None.
 
-    Up to DIRECT_CHECK_LIMIT a direct blockwise O(n^3) scan returns the
-    lexicographically first such triple.  Above it, Light's test on a greedy
-    generating set returns a triple (a, g, b) whose middle element g is a
-    generator.
+    Light's test: (a*g)*c == a*(g*c) for every a and c and every g in a
+    generating set, blockwise over a.  Up to DIRECT_CHECK_LIMIT the set is
+    every element, so the triple is the lexicographically first violation;
+    above it the set is the greedy generating set, and the triple is the
+    least (a, g, c) with g a generator.
     """
     n = table.shape[0]
-    if n <= DIRECT_CHECK_LIMIT:
-        step = max(1, _BLOCK // (n * n))
-        for start in range(0, n, step):
-            rows = np.arange(start, min(start + step, n))
-            # left[a,b,c] = (a*b)*c ; right[a,b,c] = a*(b*c)
-            left = table[table[rows]]
-            right = table[rows][:, table.reshape(-1)].reshape(len(rows), n, n)
-            if not np.array_equal(left, right):
-                bad = np.argwhere(left != right)
-                a, b, c = bad[np.lexsort((bad[:, 2], bad[:, 1], bad[:, 0]))][0]
-                return (int(rows[a]), int(b), int(c))
-        return None
-    return _light_witness(table)
-
-
-def _light_witness(table: np.ndarray):
-    """Light's associativity test against a greedy generating set."""
-    n = table.shape[0]
-    for g in _generating_set(table):
-        # left[a,b] = (a*g)*b ; right[a,b] = a*(g*b)
-        left = table[table[:, g]]
-        right = table[:, table[g]]
-        if not np.array_equal(left, right):
-            a, b = np.argwhere(left != right)[0]
-            return (int(a), int(g), int(b))
+    gens = np.arange(n) if n <= DIRECT_CHECK_LIMIT else np.asarray(_generating_set(table))
+    step = max(1, _BLOCK // (len(gens) * n))
+    for start in range(0, n, step):
+        rows = table[start : start + step]
+        # left[a,g,c] = (a*g)*c ; right[a,g,c] = a*(g*c)
+        left = table[rows[:, gens]]
+        right = rows[:, table[gens].ravel()].reshape(left.shape)
+        bad = left != right
+        if bad.any():
+            a, g, c = np.argwhere(bad)[0]  # row-major: the least triple first
+            return (start + int(a), int(gens[g]), int(c))
     return None
 
 
@@ -353,12 +340,9 @@ def is_cancellative(S: FiniteSemigroup) -> CancellativityResult:
     """Left/right cancellativity with a deterministic first witness: the
     least (a, b, c), a < b, with c*a = c*b on a failing left side or a*c = b*c
     on a failing right side, which is the left side of the opposite table T.T."""
-    T = S.table
-    n = S.order
-    left = all(len(set(T[c])) == n for c in range(n))
-    right = all(len(set(T[:, c])) == n for c in range(n))
-    found = [_first_collision(U) for ok, U in ((left, T), (right, T.T)) if not ok]
-    return CancellativityResult(left, right, min(found, default=None))
+    left, right = _first_collision(S.table), _first_collision(S.table.T)
+    found = [w for w in (left, right) if w is not None]
+    return CancellativityResult(left is None, right is None, min(found, default=None))
 
 
 def _first_collision(U: np.ndarray) -> Optional[tuple[int, int, int]]:

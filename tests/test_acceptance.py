@@ -10,6 +10,7 @@ import numpy as np
 
 import semikit as sk
 from semikit.corpus import (
+    SUBSEMIGROUP_CHECK_LIMIT,
     _check_subsemigroup_classification,
     census,
     fingerprint,
@@ -115,6 +116,8 @@ def test_criterion_5_counting_bound(census4, rb22, z3):
         instances.append(gen_random_rees(2, 2, "z3", seed=4).realized)
         for S in instances:
             assert S.order <= 12
+            # the check below passes larger semigroups unchecked
+            assert S.order <= SUBSEMIGROUP_CHECK_LIMIT
             # the (J, W, Gamma) classification of every subsemigroup and the
             # counting bound, as replayed by the theorem suite
             assert _check_subsemigroup_classification(S) is None

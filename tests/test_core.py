@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import semikit as sk
+from semikit import core
 from semikit.core import _closure_mask, _generating_set, associativity_witness, dumps_sg, loads_sg
 from semikit.corpus import gen_transformation_closure
 from semikit.errors import (
@@ -123,8 +124,8 @@ def test_is_cancellative(z3, l2, pb):
 
 
 def test_is_cancellative_group_skips_witness_search():
-    # a group has no witness to find: the two permutation checks take about
-    # 0.2 s, while searching the n^2(n-1)/2 triples anyway takes over 10 s
+    # a group has no witness to find: the two collision sorts, one per side,
+    # take about 0.03 s, while searching the n^2(n-1)/2 triples takes over 10 s
     S = sk.gen_standard("cyclic", 1000)
     start = time.perf_counter()
     assert sk.is_cancellative(S) == (True, True, None)
@@ -156,6 +157,15 @@ def test_is_cancellative_matches_triple_loop(census5):
         sides.add(result[:2])
     # left-only, right-only and two-sided failures all occur
     assert sides == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_first_collision_keeps_column_order_among_equal_entries():
+    # order 300 gives uint16 keys; row 0 holds 20 at columns 0 and 20 and is
+    # otherwise a permutation.  Only a stable sort keeps column 0 ahead of
+    # column 20; an unstable one may report the collision from column 20.
+    U = np.tile(np.arange(300), (300, 1))
+    U[0, 0] = 20
+    assert core._first_collision(U) == (0, 20, 0)
 
 
 def test_is_group_is_monoid(z3, l2, t2):
@@ -210,14 +220,16 @@ def test_sg_comments_ignored():
     assert dumps_sg(S).count("#") == 1
 
 
-def test_light_test_matches_direct():
-    # force Light's test by lowering the direct-check threshold
-    from semikit import core
-
+def test_light_test_matches_direct(monkeypatch):
+    # the generating-set path, forced by lowering the direct-check threshold
+    monkeypatch.setattr(core, "DIRECT_CHECK_LIMIT", 0)
     table = sk.gen_standard("cyclic", 7).table
-    assert core._light_witness(table) is None
-    bad = np.array([[1, 1], [1, 0]])
-    assert core._light_witness(bad) is not None
+    assert brute_associative(table.tolist())
+    assert associativity_witness(table) is None
+    bad = [[1, 1], [1, 0]]
+    assert not brute_associative(bad)
+    a, g, c = associativity_witness(np.asarray(bad))
+    assert bad[bad[a][g]][c] != bad[a][bad[g][c]]
 
 
 def test_subsemigroup_table(t2):

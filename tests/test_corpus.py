@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -371,6 +372,27 @@ def test_verify_suite_order5_exhaustive(census5):
     # the whole theorem suite over all 2,133 semigroups of order <= 5
     report = verify_suite(census5)
     assert (len(report.entries), report.summary["fail"]) == (29862, 0)
+
+
+def test_verify_suite_skips_subsemigroup_walks_above_limit(monkeypatch):
+    # the three checks that walk every subsemigroup run up to
+    # SUBSEMIGROUP_CHECK_LIMIT (order 12) and skip the walk above it; on
+    # RB(10,10), order 100, the walk alone would run for hours
+    walked = []
+    enumerate_all = corpus_mod.enumerate_subsemigroups
+    monkeypatch.setattr(
+        corpus_mod,
+        "enumerate_subsemigroups",
+        lambda S, *args: walked.append(S.order) or enumerate_all(S, *args),
+    )
+    assert 12 <= corpus_mod.SUBSEMIGROUP_CHECK_LIMIT < 100
+    verify_suite([sk.gen_standard("rect_band", 3, 4)])
+    assert 12 in walked
+    walked.clear()
+    start = time.perf_counter()
+    verify_suite([sk.gen_standard("rect_band", 10, 10)])
+    assert time.perf_counter() - start < 5
+    assert walked == []
 
 
 def test_swelling_checked_at_order5(monkeypatch, census5):

@@ -1,5 +1,7 @@
 """Property-based checks over random tables and corpus instances."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -132,13 +134,42 @@ def test_relabeling_preserves_validation(data):
 @given(random_tables(max_n=5))
 @settings(max_examples=300, deadline=None)
 def test_light_witness_agrees_with_direct_scan(tn):
+    # the generating-set path, forced by lowering the direct-check threshold
     n, table = tn
-    arr = np.asarray(table, dtype=np.int64)
-    witness = core._light_witness(arr)
-    assert (witness is None) == (associativity_witness(arr) is None)
+    with mock.patch.object(core, "DIRECT_CHECK_LIMIT", 0):
+        witness = associativity_witness(np.asarray(table, dtype=np.int64))
+    assert (witness is None) == brute_associative(table)
     if witness is not None:
         a, g, b = witness
         assert table[table[a][g]][b] != table[a][table[g][b]]
+
+
+def first_violation(table, middles):
+    """The first (a, g, c) of the loop over a, then g in middles, then c
+    with (a*g)*c != a*(g*c), or None."""
+    n = len(table)
+    for a in range(n):
+        for g in middles:
+            for c in range(n):
+                if table[table[a][g]][c] != table[a][table[g][c]]:
+                    return (a, g, c)
+    return None
+
+
+@given(random_tables(max_n=6))
+@settings(max_examples=300, deadline=None)
+def test_associativity_witness_is_the_least_triple(tn):
+    # up to the limit: the lexicographically first violation; above it (here
+    # forced by a limit of 0): the least (a, g, c) with g a greedy generator.
+    # _BLOCK = 1 scans one row a per block.
+    n, table = tn
+    arr = np.asarray(table, dtype=np.int64)
+    middles = core._generating_set(arr)
+    for block in (core._BLOCK, 1):
+        with mock.patch.object(core, "_BLOCK", block):
+            assert associativity_witness(arr) == first_violation(table, range(n))
+            with mock.patch.object(core, "DIRECT_CHECK_LIMIT", 0):
+                assert associativity_witness(arr) == first_violation(table, middles)
 
 
 _DOCUMENTS = (
