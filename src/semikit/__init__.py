@@ -63,15 +63,14 @@ from .simple import (
     write_rms,
 )
 from .corpus import (
-    CorpusSpec,
     VerificationReport,
-    build_corpus,
     canonical_form,
     census,
     fingerprint,
     gen_random_rees,
     gen_standard,
     gen_transformation_closure,
+    parse_descriptor,
     verify_suite,
 )
 

@@ -167,18 +167,7 @@ def _cmd_subsemigroups(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    head, _, tail = args.descriptor.partition(":")
-    if head == "census" and tail.strip().isdigit() and int(tail) != 1:
-        # refused before enumerating: only the order-1 census has one member
-        raise ValueError(f"descriptor {args.descriptor!r} does not generate exactly 1 semigroup")
-    built = corpus_mod.build_corpus(
-        corpus_mod.CorpusSpec(generators=(args.descriptor,))
-    )
-    if len(built) != 1:
-        raise ValueError(
-            f"descriptor {args.descriptor!r} generates {len(built)} semigroups, expected 1"
-        )
-    _, S = built[0]
+    S = corpus_mod.parse_descriptor(args.descriptor)
     write_sg(S, args.output)
     _emit(args, {"order": S.order, "path": args.output}, f"wrote order-{S.order} table to {args.output}")
     return 0
@@ -227,7 +216,8 @@ def _cmd_verify(args) -> int:
             if e.status == "fail":
                 sys.stdout.write(f"FAIL {e.semigroup} {e.check}: {e.witness}\n")
         s = report.summary
-        sys.stdout.write(f"{s['pass']} passed, {s['fail']} failed\n")
+        skipped = f", {s['skip']} skipped" if "skip" in s else ""
+        sys.stdout.write(f"{s['pass']} passed, {s['fail']} failed{skipped}\n")
     return 1 if report.failures else 0
 
 

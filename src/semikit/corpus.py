@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     _BLOCK,
     FiniteSemigroup,
-    SubsetHandle,
     _check_order,
     direct_product,
     from_table,
@@ -29,29 +28,29 @@ from .core import (
 )
 from .errors import (
     CensusLimitExceeded,
-    NotRegularSubsemigroup,
     Overflow,
     SemigroupError,
     UnknownGenerator,
 )
 from .greens import (
+    _first_restriction_violation,
     _labels,
     _two_sided_ideal_members,
     _two_sided_rows,
     greens_structure,
-    greens_restriction_check,
     is_stable,
 )
 from .ideals import (
     IDEAL_ENUM_LIMIT,
+    _swelling_verdicts,
     enumerate_ideals,
     idempotent_poset,
     kernel,
     kernel_members,
     minimal_ideal_equivalences,
-    swelling_check,
 )
 from .simple import (
+    _subsemigroup_masks,
     enumerate_subsemigroups,
     is_completely_simple,
     rees_construct,
@@ -68,6 +67,7 @@ SWELLING_EXHAUSTIVE_LIMIT = 5
 # costs per subsemigroup, and a left-zero band of order n has 2^n - 1 of them:
 # verify_suite takes about 2.5 s on L12, 12 s on L14 and 61 s on L16.
 SUBSEMIGROUP_CHECK_LIMIT = 12
+SKIP = object()  # what a check returns when it checked nothing
 
 
 class SplitMix64:
@@ -354,44 +354,28 @@ def fingerprint(semigroups: Iterable[FiniteSemigroup]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# corpus specification
+# generator descriptors
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Reproducible corpus description: generator descriptor strings.
-    Descriptors: "cyclic:3", "rect_band:2,2", "sym3", "t2",
-    "paper_band", "left_zero:2", "right_zero:3",
-    "random_rees:I,L,group,seed", "transformation:degree,maps,seed",
-    "census:N" (every class of order 1..N, 1 <= N <= ``CENSUS_LIMIT`` = 5,
-    by lex-leader generation; 2,133 at N = 5).  Every generator refuses an
-    order above the cap (``SEMIKIT_MAX_ORDER``)."""
-
-    generators: tuple[str, ...]
-
-
-def build_corpus(spec: CorpusSpec) -> list[tuple[str, FiniteSemigroup]]:
-    out: list[tuple[str, FiniteSemigroup]] = []
-    for desc in spec.generators:
-        head, _, tail = desc.partition(":")
-        args = tail.split(",") if tail else []
-        # gen_standard checks the arity of the other descriptors
-        arity = {"census": 1, "random_rees": 4, "transformation": 3}.get(head)
-        if arity is not None and len(args) != arity:
-            raise ValueError(f"descriptor {desc!r} takes {arity} arguments, got {len(args)}")
-        if head == "census":
-            for S in census(int(args[0])):
-                out.append((S.name, S))
-        elif head == "random_rees":
-            i_size, lam, group_name, seed = args
-            rms = gen_random_rees(int(i_size), int(lam), group_name, int(seed))
-            out.append((desc, rms.realized))
-        elif head == "transformation":
-            degree, maps, seed = (int(a) for a in args)
-            out.append((desc, gen_transformation_closure(degree, maps, seed)))
-        else:
-            out.append((desc, gen_standard(head, *(int(a) for a in args))))
-    return out
+def parse_descriptor(desc: str) -> FiniteSemigroup:
+    """The semigroup a descriptor string names: "cyclic:3", "rect_band:2,2",
+    "sym3", "t2", "paper_band", "left_zero:2", "right_zero:3", "trivial",
+    "random_rees:I,L,group,seed" or "transformation:degree,maps,seed".
+    Every generator refuses an order above the cap (``SEMIKIT_MAX_ORDER``)."""
+    head, _, tail = desc.partition(":")
+    args = tail.split(",") if tail else []
+    # gen_standard checks the arity of the other descriptors
+    arity = {"random_rees": 4, "transformation": 3}.get(head)
+    if arity is not None and len(args) != arity:
+        raise ValueError(f"descriptor {desc!r} takes {arity} arguments, got {len(args)}")
+    if head == "random_rees":
+        i_size, lam, group_name, seed = args
+        return gen_random_rees(int(i_size), int(lam), group_name, int(seed)).realized
+    if head == "transformation":
+        return gen_transformation_closure(*(int(a) for a in args))
+    if head not in _GENERATORS:
+        raise UnknownGenerator(f"unknown generator {head!r} in descriptor {desc!r}")
+    return gen_standard(head, *(int(a) for a in args))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +386,7 @@ def build_corpus(spec: CorpusSpec) -> list[tuple[str, FiniteSemigroup]]:
 class CheckResult:
     semigroup: str
     check: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "skip"
     witness: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -426,9 +410,12 @@ class VerificationReport:
 
     @property
     def summary(self) -> dict[str, int]:
-        counts = {"pass": 0, "fail": 0}
+        """Entries per status; "skip" only when some check was skipped."""
+        counts = {"pass": 0, "fail": 0, "skip": 0}
         for e in self.entries:
             counts[e.status] += 1
+        if not counts["skip"]:
+            del counts["skip"]
         return counts
 
     def to_json(self) -> str:
@@ -486,8 +473,10 @@ def _check_single_idempotent_monoid(S):
 
 
 def _check_subsemigroups_of_groups(S):
-    if S.order > SUBSEMIGROUP_CHECK_LIMIT or not is_group(S):
+    if not is_group(S):
         return None
+    if S.order > SUBSEMIGROUP_CHECK_LIMIT:
+        return SKIP
     for T in enumerate_subsemigroups(S):
         if not subsemigroup_of_group_check(S, T):
             return f"subsemigroup {list(T.members)} of a group is not a subgroup"
@@ -495,14 +484,13 @@ def _check_subsemigroups_of_groups(S):
 
 def _check_swelling(S):
     if S.order > SWELLING_EXHAUSTIVE_LIMIT:
-        return None
-    n = S.order
-    for bits in range(1, 1 << n):
-        members = tuple(x for x in range(n) if bits >> x & 1)
-        A = SubsetHandle(S, members)
-        for t in members:
-            if swelling_check(S, A, t) == (True, False):
-                return f"A={list(members)} lies in tA but is not tA at t={t}"
+        return SKIP
+    held, equal = _swelling_verdicts(S)
+    bad = held & ~equal
+    if bad.any():
+        bits, t = np.unravel_index(np.argmax(bad), bad.shape)  # least subset, then least t
+        members = [x for x in range(S.order) if (bits + 1) >> x & 1]
+        return f"A={members} lies in tA but is not tA at t={t}"
 
 
 def _check_d_composition(S):
@@ -540,14 +528,12 @@ def _check_kernel_rees_roundtrip(S):
 
 def _check_green_restriction(S):
     if S.order > SUBSEMIGROUP_CHECK_LIMIT:
-        return None
-    for T in enumerate_subsemigroups(S):
-        try:
-            report = greens_restriction_check(S, T)
-        except NotRegularSubsemigroup:
-            continue
-        if not report.ok:
-            return f"restriction fails on {list(T.members)}: {report.violations[:1]}"
+        return SKIP
+    masks = _subsemigroup_masks(S)
+    found = _first_restriction_violation(S, masks)
+    if found is not None:
+        row, violation = found
+        return f"restriction fails on {np.flatnonzero(masks[row]).tolist()}: {(violation,)}"
 
 
 def _check_subsemigroup_classification(S):
@@ -555,8 +541,10 @@ def _check_subsemigroup_classification(S):
     with J in I, W a subgroup of G, Gamma in Lambda and P' the restriction
     of P to Gamma x J, read at a shared base idempotent; the count of
     subsemigroups is at most sum over subgroups W of 2^|I| * 2^|Lambda|."""
-    if S.order > SUBSEMIGROUP_CHECK_LIMIT or not is_completely_simple(S):
+    if not is_completely_simple(S):
         return None
+    if S.order > SUBSEMIGROUP_CHECK_LIMIT:
+        return SKIP
     subs = enumerate_subsemigroups(S)
     at = functools.cache(lambda e: rees_decompose(S, e))  # one per base idempotent
     for T in subs:
@@ -621,7 +609,8 @@ CHECKS: tuple[tuple[str, Callable], ...] = (
 
 def verify_suite(corpus) -> VerificationReport:
     """Run every theorem check over each instance, a semigroup or a (name,
-    semigroup) pair; failures become report entries, never aborts."""
+    semigroup) pair; failures become report entries, never aborts.  A check
+    returns None on a pass, SKIP when it checked nothing, else a witness."""
     instances = [
         (S.name or f"instance-{i}", S) if isinstance(S, FiniteSemigroup) else S
         for i, S in enumerate(corpus)
@@ -635,6 +624,9 @@ def verify_suite(corpus) -> VerificationReport:
                 witness = str(exc)
             except AssertionError as exc:
                 witness = f"assertion: {exc}"
-            status = "pass" if witness is None else "fail"
-            entries.append(CheckResult(name, check_name, status, witness))
+            if witness is SKIP:
+                entries.append(CheckResult(name, check_name, "skip"))
+            else:
+                status = "pass" if witness is None else "fail"
+                entries.append(CheckResult(name, check_name, status, witness))
     return VerificationReport(tuple(entries), fingerprint(S for _, S in instances))

@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import FiniteSemigroup, SubsetHandle, _derived, subsemigroup_table
+from .core import _BLOCK, FiniteSemigroup, SubsetHandle, _derived, subsemigroup_table
 from .errors import NotAnHClass, NotRegularSubsemigroup
 
 
@@ -255,6 +255,41 @@ def greens_restriction_check(S: FiniteSemigroup, T: SubsetHandle) -> Restriction
         pairs = np.argwhere(np.triu(differ, 1)).tolist()  # row-major: i < k
         violations += [(name, incl(i), incl(k)) for i, k in pairs]
     return RestrictionReport(not violations, tuple(violations))
+
+
+def _first_restriction_violation(S: FiniteSemigroup, masks: np.ndarray):
+    """greens_restriction_check over the subsemigroups given as rows of a
+    bool membership matrix, in one pass per block of rows.  Returns the
+    first regular row whose L, R or H is not S's restricted, with its first
+    violation (relation, a, b) in greens_restriction_check's order, or None."""
+    n = S.order
+    T, x = S.table, np.arange(n)
+    regular_at = T[T, x[:, None]] == x[:, None]  # [x, t]: x*t*x = x
+    GS = greens_structure(S)
+    outer = np.stack([c[:, None] == c for c in (GS.l_class, GS.r_class, GS.h_class)])
+    upper = x[:, None] < x
+    step = max(1, _BLOCK // (n * n))  # rows per pass: <= _BLOCK member pairs
+    for start in range(0, len(masks), step):
+        m = masks[start : start + step]
+        both = m[:, :, None] & m[:, None, :]
+        # every member x of row k has a member t with x*t*x = x
+        regular = ~(m & ~(both & regular_at).any(axis=2)).any(axis=1)
+        # over row k's members a, b: c = a*b lies in the principal left ideal
+        # of b (ideals[0, k, b, c]) and in the principal right ideal of a
+        k, a, b = np.nonzero(both)
+        c = T[a, b]
+        ideals = np.zeros((2, len(m), n, n), dtype=bool)
+        ideals[0, k, b, c] = ideals[1, k, a, c] = True
+        ideals[:, :, x, x] = True
+        same = ideals & ideals.swapaxes(2, 3)  # L and R inside each row's subsemigroup
+        inner = np.concatenate((same, same[:1] & same[1:]))  # [relation, k, a, b]
+        bad = (inner != outer[:, None]) & (both & upper & regular[:, None, None])
+        hit = bad.any(axis=(0, 2, 3))
+        if hit.any():
+            row = int(np.argmax(hit))
+            rel, a, b = np.unravel_index(np.argmax(bad[:, row]), bad[:, row].shape)
+            return start + row, ("LRH"[rel], int(a), int(b))
+    return None
 
 
 class StabilityResult(NamedTuple):

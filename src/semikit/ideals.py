@@ -143,18 +143,27 @@ def kernel(S: FiniteSemigroup) -> KernelReport:
 
 
 def enumerate_ideals(S: FiniteSemigroup) -> list[tuple[int, ...]]:
-    """All nonempty two-sided ideals, by subset scan (order-capped)."""
+    """All nonempty two-sided ideals in ascending bitmask order: the subsets
+    A that hold aS ∪ Sa for every a in A (order-capped)."""
     n = S.order
     if n > IDEAL_ENUM_LIMIT:
         raise SearchCapExceeded(
             f"ideal enumeration capped at order {IDEAL_ENUM_LIMIT} (2^n subsets)"
         )
-    out = []
-    for bits in range(1, 1 << n):
-        sub = tuple(x for x in range(n) if bits >> x & 1)
-        if _is_two_sided_ideal(S.table, sub):
-            out.append(sub)
-    return out
+    bit = np.int64(1) << np.arange(n)
+    reach = np.bitwise_or.reduce(bit[S.table] | bit[S.table.T], axis=1)  # aS ∪ Sa
+    subsets = np.arange(1, 1 << n)
+    ideals = subsets[_subset_unions(reach) & ~subsets == 0]
+    return [tuple(x for x in range(n) if bits >> x & 1) for bits in ideals.tolist()]
+
+
+def _subset_unions(values: np.ndarray) -> np.ndarray:
+    """out[A - 1]: the OR of values[x] over the members x of A, for every
+    nonempty subset A of range(len(values)) as a bitmask, ascending."""
+    out = np.zeros((1,) + values.shape[1:], dtype=values.dtype)
+    for v in values:  # the subsets holding x follow those below x, in order
+        out = np.concatenate((out, out | v))
+    return out[1:]
 
 
 @dataclass(frozen=True)
@@ -217,3 +226,15 @@ def swelling_check(S: FiniteSemigroup, A: SubsetHandle, t: int) -> SwellingVerdi
     if not A.member_set <= tA:
         return SwellingVerdict(False, None)
     return SwellingVerdict(True, tA == A.member_set)
+
+
+def _swelling_verdicts(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
+    """swelling_check at every nonempty subset A, a bitmask in ascending
+    order, and every t: held[A - 1, t] (A lies in tA) and equal[A - 1, t]
+    (A = tA), both False where t is not in A."""
+    n = S.order
+    bit = np.int64(1) << np.arange(n)
+    t_a = _subset_unions(bit[S.table.T])  # [A - 1, t]: tA
+    subsets = np.arange(1, 1 << n)[:, None]
+    held = (subsets >> np.arange(n) & 1 == 1) & (subsets & ~t_a == 0)
+    return held, held & (t_a == subsets)

@@ -114,7 +114,7 @@ def test_subsemigroups(z3_file, capsys):
 
 
 def test_gen_and_validate(tmp_path, capsys):
-    for desc in ("rect_band:2,2", "census:1"):
+    for desc in ("rect_band:2,2", "trivial"):
         out = tmp_path / "out.sg"
         assert main(["gen", desc, "-o", str(out)]) == 0
         assert main(["validate", str(out)]) == 0
@@ -171,6 +171,16 @@ def test_verify_single_file(z3_file, capsys):
     assert main(["--format", "structured", "verify", z3_file]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["fail"] == 0
+
+
+def test_verify_text_line_names_skips(z3_file, tmp_path, capsys):
+    assert main(["verify", z3_file]) == 0
+    assert capsys.readouterr().out == "14 passed, 0 failed\n"
+    lz13 = tmp_path / "lz13.sg"
+    assert main(["gen", "left_zero:13", "-o", str(lz13)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(lz13)]) == 0
+    assert capsys.readouterr().out == "11 passed, 0 failed, 3 skipped\n"
 
 
 def test_structured_output_byte_identical(pb_file, capsys):

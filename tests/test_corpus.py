@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import re
 import time
@@ -13,19 +14,17 @@ from hypothesis import given, settings, strategies as st
 import semikit as sk
 from semikit import corpus as corpus_mod
 from semikit.corpus import (
-    CorpusSpec,
     SplitMix64,
-    build_corpus,
     canonical_form,
     census,
     fingerprint,
     gen_random_rees,
     gen_transformation_closure,
+    parse_descriptor,
     verify_suite,
 )
 from semikit.core import max_order
 from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
-from semikit.ideals import SwellingVerdict
 
 
 def test_gen_standard_tables(z3, rb22, pb):
@@ -301,21 +300,19 @@ def test_fold_opposites(l2):
     )
 
 
-def test_build_corpus_descriptors():
-    spec = CorpusSpec(
-        generators=("cyclic:3", "rect_band:2,2", "random_rees:2,1,z2,4", "census:2")
-    )
-    corpus = build_corpus(spec)
-    names = [name for name, _ in corpus]
-    assert "cyclic:3" in names and any(n.startswith("census-2-") for n in names)
-    assert len(corpus) == 9  # z3, rb22, rees, census orders 1 (1) and 2 (5)
+def test_build_corpus_descriptors(z3, rb22):
+    # parse_descriptor names one semigroup per descriptor string
+    assert parse_descriptor("cyclic:3") == z3
+    assert parse_descriptor("rect_band:2,2") == rb22
+    assert parse_descriptor("random_rees:2,1,z2,4") == gen_random_rees(2, 1, "z2", 4).realized
+    assert parse_descriptor("transformation:3,2,0") == gen_transformation_closure(3, 2, 0)
+    assert parse_descriptor("trivial").order == 1
 
 
 def test_build_corpus_follows_order_cap(monkeypatch):
-    # SEMIKIT_MAX_ORDER is the only order cap a corpus answers to
+    # SEMIKIT_MAX_ORDER is the only order cap a descriptor answers to
     monkeypatch.setenv("SEMIKIT_MAX_ORDER", "4097")
-    [(name, S)] = build_corpus(CorpusSpec(("left_zero:4097",)))
-    assert (name, S.order) == ("left_zero:4097", 4097)
+    assert parse_descriptor("left_zero:4097").order == 4097
 
 
 @pytest.mark.parametrize(
@@ -324,8 +321,12 @@ def test_build_corpus_follows_order_cap(monkeypatch):
      "transformation:3,2,0,1", "transformation:3,,2,0"],
 )
 def test_build_corpus_rejects_wrong_arity(desc):
-    with pytest.raises(ValueError, match=re.escape(repr(desc))):
-        build_corpus(CorpusSpec(generators=(desc,)))
+    # census is no descriptor (a census is many semigroups): it is refused
+    # as an unknown generator, and like an arity error the message quotes
+    # the whole descriptor
+    error = UnknownGenerator if desc.startswith("census") else ValueError
+    with pytest.raises(error, match=re.escape(repr(desc))):
+        parse_descriptor(desc)
 
 
 @pytest.mark.parametrize(
@@ -375,30 +376,63 @@ def test_verify_suite_order5_exhaustive(census5):
 
 
 def test_verify_suite_skips_subsemigroup_walks_above_limit(monkeypatch):
-    # the three checks that walk every subsemigroup run up to
+    # the checks that walk every subsemigroup run up to
     # SUBSEMIGROUP_CHECK_LIMIT (order 12) and skip the walk above it; on
     # RB(10,10), order 100, the walk alone would run for hours
     walked = []
-    enumerate_all = corpus_mod.enumerate_subsemigroups
-    monkeypatch.setattr(
-        corpus_mod,
-        "enumerate_subsemigroups",
-        lambda S, *args: walked.append(S.order) or enumerate_all(S, *args),
-    )
+    for name in ("enumerate_subsemigroups", "_subsemigroup_masks"):
+        walk = getattr(corpus_mod, name)
+        monkeypatch.setattr(
+            corpus_mod, name, lambda S, *args, walk=walk: walked.append(S.order) or walk(S, *args)
+        )
     assert 12 <= corpus_mod.SUBSEMIGROUP_CHECK_LIMIT < 100
-    verify_suite([sk.gen_standard("rect_band", 3, 4)])
+    report = verify_suite([sk.gen_standard("rect_band", 3, 4)])
     assert 12 in walked
+    assert report.summary == {"pass": 13, "skip": 1, "fail": 0}  # swelling above order 5
     walked.clear()
     start = time.perf_counter()
-    verify_suite([sk.gen_standard("rect_band", 10, 10)])
+    report = verify_suite([sk.gen_standard("rect_band", 10, 10)])
     assert time.perf_counter() - start < 5
     assert walked == []
+    # RB(10,10) is no group, so the subgroup check holds vacuously and passes
+    skipped = {e.check for e in report.entries if e.status == "skip"}
+    assert skipped == {"regular_green_restriction", "subsemigroup_classification", "swelling_implication"}
+    assert report.summary == {"pass": 11, "fail": 0, "skip": 3}
+    assert all(e.witness is None for e in report.entries)
+
+
+def test_verify_summary_counts_skip_only_when_nonzero(z3):
+    doc = json.loads(verify_suite([("z3", z3)]).to_json())
+    assert doc["summary"] == {"pass": 14, "fail": 0}
+    # Z13 is a group above both limits: every walk is skipped
+    doc = json.loads(verify_suite([sk.gen_standard("cyclic", 13)]).to_json())
+    assert doc["summary"] == {"pass": 10, "fail": 0, "skip": 4}
+    skipped = {e["check"] for e in doc["entries"] if e["status"] == "skip"}
+    assert skipped == {"subsemigroup_of_group_is_subgroup", "swelling_implication",
+                       "regular_green_restriction", "subsemigroup_classification"}
+
+
+def swelling_always_fails(S):
+    """A swelling verdict that claims A lies in tA but differs from it at
+    every subset A and every t."""
+    shape = (2**S.order - 1, S.order)
+    return np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
 
 
 def test_swelling_checked_at_order5(monkeypatch, census5):
-    monkeypatch.setattr(corpus_mod, "swelling_check", lambda *args: SwellingVerdict(True, False))
+    monkeypatch.setattr(corpus_mod, "_swelling_verdicts", swelling_always_fails)
     report = verify_suite(census5[-1:])
     assert {e.check for e in report.failures} == {"swelling_implication"}
+
+
+def test_swelling_witness_is_the_least_subset_then_t(monkeypatch, t2):
+    held, equal = corpus_mod._swelling_verdicts(t2)
+    assert not (held & ~equal).any()
+    bad = np.zeros_like(held)
+    bad[0b1110 - 1, 3] = bad[0b1101 - 1, 3] = bad[0b1101 - 1, 2] = True
+    monkeypatch.setattr(corpus_mod, "_swelling_verdicts", lambda S: (held | bad, equal & ~bad))
+    [witness] = {e.witness for e in verify_suite([t2]).failures}
+    assert witness == "A=[0, 2, 3] lies in tA but is not tA at t=2"
 
 
 def test_verify_suite_pb_pinned(pb):
@@ -455,15 +489,15 @@ def test_verify_reports_wrong_classification(monkeypatch, rb22):
 @pytest.mark.parametrize(
     "name, verdict, fixture, check",
     [
-        ("swelling_check", SwellingVerdict(True, False), "t2", "swelling_implication"),
-        ("subsemigroup_of_group_check", False, "z3", "subsemigroup_of_group_is_subgroup"),
+        ("_swelling_verdicts", swelling_always_fails, "t2", "swelling_implication"),
+        ("subsemigroup_of_group_check", lambda *args: False, "z3", "subsemigroup_of_group_is_subgroup"),
     ],
     ids=["swelling_check", "subsemigroup_of_group_check"],
 )
 def test_verify_records_wrong_verdict(monkeypatch, request, name, verdict, fixture, check):
     # these functions return verdicts; only the verify harness judges them
     S = request.getfixturevalue(fixture)
-    monkeypatch.setattr(corpus_mod, name, lambda *args: verdict)
+    monkeypatch.setattr(corpus_mod, name, verdict)
     report = verify_suite([(fixture, S)])
     assert len(report.entries) == len(corpus_mod.CHECKS)
     assert {e.check for e in report.failures} == {check}

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semikit as sk
-from semikit import greens
-from semikit.corpus import gen_transformation_closure
+from semikit import corpus as corpus_mod, greens
+from semikit.corpus import gen_standard, gen_transformation_closure
 from semikit.errors import NotAnHClass, NotRegularSubsemigroup
 from semikit.greens import greens_structure
 
@@ -216,6 +216,44 @@ def test_restriction_violations_match_pairwise_loop(monkeypatch, census4):
             assert report.ok == (not expected)
             failing += bool(expected)
     assert failing > 100, failing
+
+
+def first_restriction_failure(S):
+    """The verify witness written by a loop of greens_restriction_check
+    over enumerate_subsemigroups, skipping the non-regular ones."""
+    for T in sk.enumerate_subsemigroups(S):
+        try:
+            report = sk.greens_restriction_check(S, T)
+        except NotRegularSubsemigroup:
+            continue
+        if not report.ok:
+            return f"restriction fails on {list(T.members)}: {report.violations[:1]}"
+    return None
+
+
+def merge_first_two(labels):
+    return np.where(labels == 1, 0, labels)
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["one_pass", "row_per_pass"])
+@pytest.mark.parametrize("merged", [("l_class",), ("r_class", "h_class"), ("l_class", "r_class", "h_class")])
+def test_batched_restriction_witness_matches_loop(monkeypatch, census4, merged, block):
+    # S's cached classes 0 and 1 are merged in the named partitions; the
+    # batched pass must name the same subsemigroup, relation and pair as
+    # the loop of single-T checks
+    if block:
+        monkeypatch.setattr(greens, "_BLOCK", block)
+    real = greens.greens_structure
+    sample = [gen_standard("rect_band", 2, 3), gen_standard("rect_band", 3, 2), *census4]
+    failing = 0
+    for S in sample:
+        G = real(S)
+        stub = dataclasses.replace(G, **{attr: merge_first_two(getattr(G, attr)) for attr in merged})
+        monkeypatch.setattr(greens, "greens_structure", lambda X, S=S, stub=stub: stub if X is S else real(X))
+        expected = first_restriction_failure(S)
+        assert corpus_mod._check_green_restriction(S) == expected, S.name
+        failing += expected is not None
+    assert failing > 20, failing
 
 
 def test_commutative_all_relations_equal(z3):

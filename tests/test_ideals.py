@@ -7,6 +7,8 @@ import semikit as sk
 from semikit.core import associativity_witness
 from semikit.errors import ElementNotInSubset, NotAnIdeal, NotIdempotent, SearchCapExceeded
 from semikit.ideals import (
+    _is_two_sided_ideal,
+    _swelling_verdicts,
     enumerate_ideals,
     is_minimal_one_sided_ideal,
     kernel_members,
@@ -235,3 +237,25 @@ def test_minimal_one_sided_ideal_rejects_unknown_side(t2, side):
     # {2} is a minimal right ideal of T2; an unknown side must not be read as "right"
     with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
         is_minimal_one_sided_ideal(t2, [2], side)
+
+
+def subsets(n):
+    """Every nonempty subset of range(n), in ascending bitmask order."""
+    return [tuple(x for x in range(n) if bits >> x & 1) for bits in range(1, 1 << n)]
+
+
+def test_enumerate_ideals_matches_subset_scan(census4):
+    for S in census4:
+        expected = [A for A in subsets(S.order) if _is_two_sided_ideal(S.table, A)]
+        assert enumerate_ideals(S) == expected, S.name
+
+
+def test_swelling_verdicts_match_swelling_check(census4):
+    for S in census4:
+        held, equal = _swelling_verdicts(S)
+        assert held.shape == equal.shape == (2**S.order - 1, S.order)
+        for i, members in enumerate(subsets(S.order)):
+            A = sk.SubsetHandle(S, members)
+            for t in range(S.order):
+                verdict = sk.swelling_check(S, A, t) if t in A else (False, False)
+                assert (held[i, t], equal[i, t]) == (verdict[0], bool(verdict[1])), (S.name, members, t)

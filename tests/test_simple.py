@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semikit as sk
+from semikit import simple
 from semikit.core import associativity_witness
 from semikit.corpus import _GROUPS, canonical_form, gen_random_rees, resolve_group
 from semikit.errors import (
@@ -228,15 +229,34 @@ def test_h_finiteness_on_rees_grid():
 
 
 def brute_subsemigroups(S):
-    """Independent oracle: subset scan for product-closed sets."""
+    """Independent oracle: the exhaustive filter over all 2^n - 1 bitmasks
+    A, keeping those where no product a*b of members escapes A; sorted by
+    size, then by members."""
     n = S.order
+    masks = np.arange(1, 1 << n)
+    inside = (masks[:, None] >> np.arange(n) & 1).astype(bool)
+    escapes = ((1 << S.table) & ~masks[:, None, None]) != 0
+    closed = ~(escapes & inside[:, :, None] & inside[:, None, :]).any(axis=(1, 2))
+    return sorted((tuple(np.flatnonzero(row).tolist()) for row in inside[closed]),
+                  key=lambda m: (len(m), m))
+
+
+def random_small_semigroups(count, pool):
+    """Seeded random associative tables of order <= 8: a product of two
+    pool members, sometimes with an identity adjoined, relabelled by a
+    random permutation."""
+    rng = np.random.default_rng(11)
     out = []
-    for bits in range(1, 1 << n):
-        members = [x for x in range(n) if bits >> x & 1]
-        inside = set(members)
-        if all(S.product(a, b) in inside for a in members for b in members):
-            out.append(tuple(members))
-    return sorted(out, key=lambda m: (len(m), m))
+    while len(out) < count:
+        A, B = (pool[i] for i in rng.integers(len(pool), size=2))
+        S = sk.direct_product(A, B) if A.order * B.order <= 8 else A
+        if S.order < 8 and rng.integers(2):
+            S, _ = sk.adjoin_identity(S)
+        p = rng.permutation(S.order)
+        table = np.empty_like(S.table)
+        table[np.ix_(p, p)] = p[S.table]
+        out.append(sk.from_table(S.order, table))  # validated: still associative
+    return out
 
 
 def test_enumerate_subsemigroups_z3(z3):
@@ -250,9 +270,33 @@ def test_enumerate_subsemigroups_l2(l2):
 
 
 def test_enumerate_subsemigroups_matches_oracle(rb22, t2, pb, census4):
-    for S in (rb22, t2, pb, *census4):
-        subs = [h.members for h in sk.enumerate_subsemigroups(S)]
-        assert sorted(subs, key=lambda m: (len(m), m)) == brute_subsemigroups(S)
+    randoms = random_small_semigroups(200, census4)
+    assert max(S.order for S in randoms) == 8
+    for S in (rb22, t2, pb, *census4, *randoms):
+        assert [h.members for h in sk.enumerate_subsemigroups(S)] == brute_subsemigroups(S)
+
+
+def test_enumerate_subsemigroups_above_default_cap():
+    # Z17 has no proper subgroup; every subsemigroup of RB(2,9) is a
+    # rectangle I' x Lambda' of nonempty I', Lambda'
+    z17 = sk.gen_standard("cyclic", 17)
+    assert [h.members for h in sk.enumerate_subsemigroups(z17, cap=20)] == [(0,), tuple(range(17))]
+    rb = sk.gen_standard("rect_band", 2, 9)
+    rectangles = [
+        tuple(i * 9 + lam for i in range(2) if rows >> i & 1 for lam in range(9) if cols >> lam & 1)
+        for rows in range(1, 4)
+        for cols in range(1, 512)
+    ]
+    subs = [h.members for h in sk.enumerate_subsemigroups(rb, cap=20)]
+    assert subs == sorted(rectangles, key=lambda m: (len(m), m))
+
+
+def test_enumerate_subsemigroups_in_single_row_slices(monkeypatch, census4):
+    # one frontier row and one candidate per slice: the slice offsets matter
+    monkeypatch.setattr(simple, "_BLOCK", 1)
+    for S in [sk.gen_standard("rect_band", 2, 3), *census4[-20:]]:
+        fresh = sk.FiniteSemigroup(S.table, validate=False)  # nothing kept yet
+        assert [h.members for h in sk.enumerate_subsemigroups(fresh)] == brute_subsemigroups(S)
 
 
 def test_enumerate_subsemigroups_rb22_pinned(rb22):
