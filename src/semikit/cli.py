@@ -18,6 +18,7 @@ from .errors import SemigroupError
 from .greens import eggbox_dot, greens_structure
 from .ideals import kernel, rees_quotient
 from .simple import (
+    DEFAULT_SEARCH_CAP,
     band_predicates,
     enumerate_subsemigroups,
     is_completely_simple,
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subsemigroups", help="enumerate subsemigroups")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
     p.set_defaults(fn=_cmd_subsemigroups)
 
     p = sub.add_parser("gen", help="generate a fixture")

@@ -364,20 +364,18 @@ def _first_collision(U: np.ndarray) -> Optional[tuple[int, int, int]]:
 @_derived
 def is_monoid(S: FiniteSemigroup) -> Optional[int]:
     """Index of the two-sided identity, if any (it is unique)."""
-    n = S.order
-    idx = np.arange(n)
-    for e in range(n):
-        if np.array_equal(S.table[e], idx) and np.array_equal(S.table[:, e], idx):
-            return e
-    return None
+    idx = np.arange(S.order)
+    identity = (S.table == idx).all(axis=1) & (S.table.T == idx).all(axis=1)
+    return int(identity.argmax()) if identity.any() else None
 
 
 def is_group(S: FiniteSemigroup) -> bool:
+    """A monoid in which every element has a right and a left inverse."""
     e = is_monoid(S)
     if e is None:
         return False
-    T = S.table
-    return all((T[a] == e).any() and (T[:, a] == e).any() for a in range(S.order))
+    hit = S.table == e
+    return bool(hit.any(axis=1).all() and hit.any(axis=0).all())
 
 
 def center(S: FiniteSemigroup) -> SubsetHandle:

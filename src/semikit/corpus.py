@@ -8,7 +8,7 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -35,19 +35,18 @@ from .errors import (
 from .greens import (
     _first_restriction_violation,
     _labels,
-    _two_sided_ideal_members,
     _two_sided_rows,
     greens_structure,
     is_stable,
 )
 from .ideals import (
     IDEAL_ENUM_LIMIT,
+    _minimal_ideal_table,
     _swelling_verdicts,
     enumerate_ideals,
     idempotent_poset,
     kernel,
     kernel_members,
-    minimal_ideal_equivalences,
 )
 from .simple import (
     _subsemigroup_masks,
@@ -390,12 +389,7 @@ class CheckResult:
     witness: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "semigroup": self.semigroup,
-            "check": self.check,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -436,9 +430,11 @@ def _check_idempotent_existence(S):
 def _check_kernel(S):
     report = kernel(S)
     K = report.kernel.members
-    for x in K:
-        if tuple(_two_sided_ideal_members(S.table, x)) != K:
-            return f"kernel not minimal: {x} generates a smaller ideal"
+    every = np.arange(S.order)
+    # row i: the ideal S^1 x S^1 that x = K[i] generates
+    smaller = (_two_sided_rows(S.table, list(K), every) != np.isin(every, K)).any(axis=1)
+    if smaller.any():
+        return f"kernel not minimal: {K[int(smaller.argmax())]} generates a smaller ideal"
     if not report.idempotents:
         return "kernel has no idempotent"
     for e, verdict in report.witnesses.items():
@@ -455,10 +451,12 @@ def _check_kernel(S):
 
 
 def _check_minimal_ideal_equivalences(S):
-    for e in idempotents(S).members:
-        verdict = minimal_ideal_equivalences(S, e)
-        if len(set(verdict)) != 1:
-            return f"minimal-ideal equivalences disagree at e={e}: {tuple(verdict)}"
+    E = idempotents(S).members
+    table = _minimal_ideal_table(S, E)[2]
+    disagree = table.any(axis=1) != table.all(axis=1)
+    if disagree.any():
+        i = int(disagree.argmax())
+        return f"minimal-ideal equivalences disagree at e={E[i]}: {tuple(table[i].tolist())}"
 
 
 def _check_cancellative_iff_group(S):

@@ -9,13 +9,12 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
+    _BLOCK,
     FiniteSemigroup,
     SemigroupMorphism,
     SubsetHandle,
     _derived,
     idempotents,
-    is_group,
-    subsemigroup_table,
 )
 from .errors import (
     ElementNotInSubset,
@@ -23,7 +22,7 @@ from .errors import (
     NotIdempotent,
     SearchCapExceeded,
 )
-from .greens import _right_ideal_members, _two_sided_ideal_members
+from .greens import _ideal_rows, _right_ideal_members, _two_sided_ideal_members
 
 # Full ideal enumeration walks 2^n subsets.
 IDEAL_ENUM_LIMIT = 6
@@ -71,21 +70,37 @@ def minimal_ideal_equivalences(S: FiniteSemigroup, e: int) -> MinimalIdealVerdic
     """Evaluate, independently, the four statements (Se minimal left ideal;
     eSe a group; eS minimal right ideal; K = SeS).  They agree on every
     finite semigroup; the verify harness checks that they do."""
-    T = S.table
     if S.product(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent")
-    se = _right_ideal_members(T.T, e)  # Se = S^1 e, as e = ee
-    es = _right_ideal_members(T, e)
-    ese = np.unique(T[T[e, :], e])
-    ses = np.unique(T[se, :].ravel())
+    return MinimalIdealVerdict(*_minimal_ideal_table(S, [e])[2][0].tolist())
 
-    p1 = is_minimal_one_sided_ideal(S, se, "left")
-    sub, _ = subsemigroup_table(S, ese)
-    p2 = is_group(sub)
-    p3 = is_minimal_one_sided_ideal(S, es, "right")
-    K = kernel_members(S)
-    p4 = np.array_equal(np.asarray(K, dtype=np.int64), ses)
-    return MinimalIdealVerdict(p1, p2, p3, p4)
+
+def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the idempotents E: the membership rows of Se and eS, and the
+    len(E)×4 bool table of minimal_ideal_equivalences at each e, every
+    statement decided on its own from the principal one-sided ideals.  E is
+    taken in slices, so that no gather exceeds _BLOCK entries."""
+    T, n = S.table, S.order
+    E = np.asarray(E, dtype=np.int64)
+    left, right = _ideal_rows(T.T), _ideal_rows(T)  # row x: S^1 x, x S^1
+    se, es = left[E], right[E]
+    in_kernel = np.isin(np.arange(n), kernel_members(S))
+    table = np.empty((len(E), 4), dtype=bool)
+    step = max(1, _BLOCK // n)
+    for a in range(0, len(E), step):
+        sl, sr, t, e = se[a : a + step], es[a : a + step], table[a : a + step], E[a : a + step]
+        back_l, back_r = left[:, e].T, right[:, e].T  # [i, x]: e_i in S^1 x, in x S^1
+        # S^1 x lies in Se for x in Se, so Se is minimal iff each such S^1 x holds e
+        t[:, 0], t[:, 2] = ~(sl & ~back_l).any(axis=1), ~(sr & ~back_r).any(axis=1)
+        # eSe = eS ∩ Se is a group iff e is in uS^1 and S^1 u for each u in it:
+        # from e = ut, u·ete = e with ete in eSe (a left inverse dually)
+        t[:, 1] = ~(sl & sr & ~(back_l & back_r)).any(axis=1)
+        ses = np.zeros_like(sl)  # SeS: the union of the rows xS over x in Se
+        i, x = np.nonzero(sl)
+        for b in range(0, len(i), step):
+            ses[i[b : b + step, None], T[x[b : b + step]]] = True
+        t[:, 3] = (ses == in_kernel).all(axis=1)
+    return se, es, table
 
 
 @_derived
@@ -122,24 +137,19 @@ class KernelReport:
 def kernel(S: FiniteSemigroup) -> KernelReport:
     """Kernel K with its idempotents and the minimal one-sided ideals
     Se / eS for e in E(K)."""
-    T = S.table
-    members = kernel_members(S)
-    handle = SubsetHandle(S, members)
-    ek = tuple(int(e) for e in members if S.product(e, e) == e)
+    K = np.asarray(kernel_members(S), dtype=np.int64)
+    ek = K[S.table[K, K] == K]
+    se, es, table = _minimal_ideal_table(S, ek)
+    witnesses = dict(zip(ek.tolist(), (MinimalIdealVerdict(*row) for row in table.tolist())))
+    min_left, min_right = (tuple(SubsetHandle(S, m) for m in _distinct_members(rows)) for rows in (se, es))
+    return KernelReport(SubsetHandle(S, tuple(K.tolist())), tuple(ek.tolist()), witnesses, min_left, min_right)
 
-    witnesses = {}
-    left_sets: dict[tuple[int, ...], SubsetHandle] = {}
-    right_sets: dict[tuple[int, ...], SubsetHandle] = {}
-    for e in ek:
-        witnesses[e] = minimal_ideal_equivalences(S, e)
-        se = tuple(_right_ideal_members(T.T, e).tolist())
-        es = tuple(_right_ideal_members(T, e).tolist())
-        left_sets.setdefault(se, SubsetHandle(S, se))
-        right_sets.setdefault(es, SubsetHandle(S, es))
 
-    min_left = tuple(left_sets[k] for k in sorted(left_sets))
-    min_right = tuple(right_sets[k] for k in sorted(right_sets))
-    return KernelReport(handle, ek, witnesses, min_left, min_right)
+def _distinct_members(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The distinct rows of a bool membership array as sorted member tuples."""
+    keys = np.packbits(rows, axis=1)
+    first = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True)[1]
+    return sorted(tuple(np.flatnonzero(row).tolist()) for row in rows[first])
 
 
 def enumerate_ideals(S: FiniteSemigroup) -> list[tuple[int, ...]]:
@@ -178,14 +188,9 @@ class IdempotentPoset:
 
 def idempotent_poset(S: FiniteSemigroup) -> IdempotentPoset:
     E = idempotents(S).members
-    k = len(E)
-    leq = np.zeros((k, k), dtype=bool)
-    for i, e in enumerate(E):
-        for j, f in enumerate(E):
-            leq[i, j] = S.product(e, f) == e and S.product(f, e) == e
-    primitives = tuple(
-        E[i] for i in range(k) if all(not leq[j, i] or j == i for j in range(k))
-    )
+    ef = S.table[np.ix_(E, E)]  # [i, j]: e_i e_j, so ef.T[i, j] is e_j e_i
+    leq = (ef == ef.T) & (ef == np.asarray(E)[:, None])
+    primitives = tuple(np.asarray(E)[~(leq & ~np.eye(len(E), dtype=bool)).any(axis=0)].tolist())
     return IdempotentPoset(S, E, leq, primitives)
 
 

@@ -220,13 +220,9 @@ def normalize_sandwich(rms: ReesMatrixSemigroup) -> np.ndarray:
 
 
 def band_predicates(S: FiniteSemigroup) -> BandPredicates:
-    T = S.table
-    n = S.order
-    diag = T[np.arange(n), np.arange(n)]
-    band = bool((diag == np.arange(n)).all())
-    rect_band = band and all(
-        T[T[a, b], a] == a for a in range(n) for b in range(n)
-    )
+    T, idx = S.table, np.arange(S.order)[:, None]
+    band = bool((T.diagonal() == idx[:, 0]).all())
+    rect_band = band and bool((T[T, idx] == idx).all())  # [a, b]: (ab)a = a
     rect_group = False
     if is_completely_simple(S):
         dec = rees_decompose(S)
@@ -309,10 +305,8 @@ def subsemigroup_of_group_check(G: FiniteSemigroup, T: SubsetHandle) -> bool:
     if not is_group(G):
         raise NotAGroup("subsemigroup_of_group_check requires a group")
     subsemigroup_table(G, T.members)  # raises NotASubsemigroup
-    identity = is_monoid(G)
-    return identity in T.member_set and all(
-        any(G.product(x, y) == identity for y in T.members) for x in T.members
-    )
+    identity, m = is_monoid(G), list(T.members)
+    return identity in T.member_set and bool((G.table[np.ix_(m, m)] == identity).any(axis=1).all())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,15 @@ def census5():
 
 
 @pytest.fixture(scope="session")
+def seeded_closures():
+    """48 seeded transformation semigroups of degree 2 to 4, one or two maps."""
+    return [
+        gen_transformation_closure(degree, maps, seed)
+        for degree in (2, 3, 4) for maps in (1, 2) for seed in range(8)
+    ]
+
+
+@pytest.fixture(scope="session")
 def oracle_instances(census4):
     """The order-<=4 census plus seeded transformation semigroups: the
     instances on which fast paths are checked against their oracles."""

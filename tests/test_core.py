@@ -145,13 +145,9 @@ def cancellative_oracle(S):
     return left, right, None
 
 
-def test_is_cancellative_matches_triple_loop(census5):
-    instances = list(census5) + [
-        gen_transformation_closure(degree, maps, seed)
-        for degree in (2, 3, 4) for maps in (1, 2) for seed in range(8)
-    ]
+def test_is_cancellative_matches_triple_loop(census5, seeded_closures):
     sides = set()
-    for S in instances:
+    for S in list(census5) + seeded_closures:
         result = tuple(sk.is_cancellative(S))
         assert result == cancellative_oracle(S), (S.name, result)
         sides.add(result[:2])
@@ -166,6 +162,33 @@ def test_first_collision_keeps_column_order_among_equal_entries():
     U = np.tile(np.arange(300), (300, 1))
     U[0, 0] = 20
     assert core._first_collision(U) == (0, 20, 0)
+
+
+def monoid_oracle(S):
+    """The first e whose row and column are both the identity map, or None."""
+    idx = np.arange(S.order)
+    for e in range(S.order):
+        if np.array_equal(S.table[e], idx) and np.array_equal(S.table[:, e], idx):
+            return e
+    return None
+
+
+def group_oracle(S):
+    """A monoid whose every element a has some b with ab = e and some c with ca = e."""
+    e, T = monoid_oracle(S), S.table
+    return e is not None and all((T[a] == e).any() and (T[:, a] == e).any() for a in range(S.order))
+
+
+def test_is_monoid_is_group_match_loops(census5, seeded_closures):
+    instances = list(census5) + seeded_closures + [sk.gen_standard("sym3")]
+    found = set()
+    for S in instances:
+        S = sk.FiniteSemigroup(S.table, validate=False)  # nothing cached yet
+        monoid, group = sk.is_monoid(S), sk.is_group(S)
+        assert (monoid, group) == (monoid_oracle(S), group_oracle(S)), S.name
+        assert type(group) is bool and (monoid is None or type(monoid) is int)
+        found.add((monoid is not None, group))
+    assert found == {(False, False), (True, False), (True, True)}
 
 
 def test_is_group_is_monoid(z3, l2, t2):

@@ -24,6 +24,7 @@ from semikit.corpus import (
     verify_suite,
 )
 from semikit.core import max_order
+from semikit.ideals import _minimal_ideal_table
 from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
 
 
@@ -486,21 +487,45 @@ def test_verify_reports_wrong_classification(monkeypatch, rb22):
     assert failed["subsemigroup_classification"].startswith("J is not contained in I")
 
 
+def ese_group_flipped_at_2(S, E):
+    """The minimal-ideal table with "eSe is a group" negated at e = 2."""
+    se, es, table = _minimal_ideal_table(S, E)
+    table[list(E).index(2), 1] ^= True
+    return se, es, table
+
+
 @pytest.mark.parametrize(
-    "name, verdict, fixture, check",
+    "name, verdict, fixture, check, witness",
     [
-        ("_swelling_verdicts", swelling_always_fails, "t2", "swelling_implication"),
-        ("subsemigroup_of_group_check", lambda *args: False, "z3", "subsemigroup_of_group_is_subgroup"),
+        ("_swelling_verdicts", swelling_always_fails, "t2", "swelling_implication",
+         "A=[0] lies in tA but is not tA at t=0"),
+        ("subsemigroup_of_group_check", lambda *args: False, "z3", "subsemigroup_of_group_is_subgroup",
+         "subsemigroup [0] of a group is not a subgroup"),
+        ("_minimal_ideal_table", ese_group_flipped_at_2, "t2", "minimal_ideal_equivalences",
+         "minimal-ideal equivalences disagree at e=2: (True, False, True, True)"),
     ],
-    ids=["swelling_check", "subsemigroup_of_group_check"],
+    ids=["swelling_check", "subsemigroup_of_group_check", "minimal_ideal_table"],
 )
-def test_verify_records_wrong_verdict(monkeypatch, request, name, verdict, fixture, check):
+def test_verify_records_wrong_verdict(monkeypatch, request, name, verdict, fixture, check, witness):
     # these functions return verdicts; only the verify harness judges them
     S = request.getfixturevalue(fixture)
     monkeypatch.setattr(corpus_mod, name, verdict)
     report = verify_suite([(fixture, S)])
     assert len(report.entries) == len(corpus_mod.CHECKS)
-    assert {e.check for e in report.failures} == {check}
+    assert {e.check: e.witness for e in report.failures} == {check: witness}
+
+
+def test_verify_reports_kernel_not_minimal(monkeypatch, t2):
+    # a kernel() that reports all of T2 as K: {2, 3} is an ideal inside it
+    real = corpus_mod.kernel
+
+    def whole(S):
+        return dataclasses.replace(real(S), kernel=sk.SubsetHandle(S, tuple(range(S.order))))
+
+    monkeypatch.setattr(corpus_mod, "kernel", whole)
+    report = verify_suite([("t2", t2)])
+    failed = {e.check: e.witness for e in report.failures}
+    assert failed == {"kernel_unique_minimal": "kernel not minimal: 2 generates a smaller ideal"}
 
 
 @pytest.mark.parametrize("name", ["subsemigroup_decompose", "rees_decompose"])

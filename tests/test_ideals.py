@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 import semikit as sk
 from semikit.core import associativity_witness
 from semikit.errors import ElementNotInSubset, NotAnIdeal, NotIdempotent, SearchCapExceeded
+from semikit.greens import _right_ideal_members
 from semikit.ideals import (
     _is_two_sided_ideal,
+    _minimal_ideal_table,
     _swelling_verdicts,
     enumerate_ideals,
     is_minimal_one_sided_ideal,
@@ -84,6 +87,61 @@ def test_minimal_ideal_equivalences_rejects_non_idempotent(t2):
         minimal_ideal_equivalences(t2, 1)
 
 
+def minimal_ideal_oracle(S, e):
+    """The four statements at one idempotent e, each from its own sets: Se
+    and eS tested for minimality element by element, eSe re-tabled and
+    asked is_group, and SeS as the union of the rows xS."""
+    T = S.table
+    se = _right_ideal_members(T.T, e)  # Se = S^1 e, as e = ee
+    es = _right_ideal_members(T, e)
+    ese = np.unique(T[T[e, :], e])
+    ses = np.unique(T[se, :].ravel())
+    sub, _ = sk.subsemigroup_table(S, ese)
+    return (
+        is_minimal_one_sided_ideal(S, se, "left"),
+        sk.is_group(sub),
+        is_minimal_one_sided_ideal(S, es, "right"),
+        np.array_equal(np.asarray(kernel_members(S)), ses),
+    )
+
+
+def test_minimal_ideal_table_matches_oracle(census5, seeded_closures):
+    rows = set()
+    for S in list(census5) + seeded_closures:
+        E = sk.idempotents(S).members
+        se, es, table = _minimal_ideal_table(S, E)
+        for i, e in enumerate(E):
+            assert tuple(table[i].tolist()) == minimal_ideal_oracle(S, e), (S.name, e)
+            assert se[i].nonzero()[0].tolist() == _right_ideal_members(S.table.T, e).tolist()
+            assert es[i].nonzero()[0].tolist() == _right_ideal_members(S.table, e).tolist()
+        rows |= set(map(tuple, table.tolist()))
+    assert rows == {(True,) * 4, (False,) * 4}
+
+
+def test_minimal_ideal_equivalences_is_a_table_row(census4):
+    for S in census4:
+        E = sk.idempotents(S).members
+        table = _minimal_ideal_table(S, E)[2].tolist()
+        verdicts = [tuple(minimal_ideal_equivalences(S, e)) for e in E]
+        assert verdicts == [tuple(row) for row in table]
+        assert all(type(v) is bool for row in verdicts for v in row)  # json.dumps refuses np.bool_
+
+
+def test_kernel_memory_bounded():
+    # all 1024 elements of RB(32,32) are kernel idempotents; the statements
+    # are decided slice by slice, not over 1024×1024×32 gathers at once
+    S = sk.gen_standard("rect_band", 32, 32)
+    tracemalloc.start()
+    try:
+        report = sk.kernel(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.idempotents) == 1024 and len(report.min_left) == 32
+    assert all(all(v) for v in report.witnesses.values())
+    assert peak < 20 << 20
+
+
 def test_minimality_methods_agree(t2, pb, rb22, z3):
     for S in (t2, pb, rb22, z3):
         for e in sk.idempotents(S):
@@ -144,6 +202,22 @@ def test_idempotent_poset_rb22_antichain(rb22):
     poset = sk.idempotent_poset(rb22)
     assert poset.primitives == (0, 1, 2, 3)
     assert np.array_equal(poset.leq, np.eye(4, dtype=bool))
+
+
+def test_idempotent_poset_matches_double_loop(census5):
+    for S in census5:
+        E = sk.idempotents(S).members
+        leq = np.zeros((len(E), len(E)), dtype=bool)
+        for i, e in enumerate(E):
+            for j, f in enumerate(E):
+                leq[i, j] = S.product(e, f) == e and S.product(f, e) == e
+        primitives = tuple(
+            E[i] for i in range(len(E)) if all(not leq[j, i] or j == i for j in range(len(E)))
+        )
+        poset = sk.idempotent_poset(S)
+        assert poset.elements == E
+        assert poset.leq.dtype == bool and np.array_equal(poset.leq, leq), S.name
+        assert poset.primitives == primitives and all(type(e) is int for e in primitives)
 
 
 def test_idempotent_poset_is_partial_order(census4):
