@@ -141,34 +141,27 @@ def associativity_witness(table: np.ndarray):
     return None
 
 
-def _closure_mask(table: np.ndarray, gens: Sequence[int], closed: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mask of the subsemigroup generated by gens and the product-closed mask
-    ``closed`` if given: a worklist closure from the gens outside it."""
-    mask = np.zeros(table.shape[0], dtype=bool) if closed is None else closed.copy()
-    frontier = np.unique(np.asarray(list(gens), dtype=np.int64))
-    frontier = frontier[~mask[frontier]]
-    mask[frontier] = True
+def _cover(table: np.ndarray, gens, mask: np.ndarray, frontier) -> None:
+    """Mark in mask everything reachable from frontier by right products
+    with gens: a breadth-first search of the right Cayley graph, in which
+    each newly covered element is multiplied by every generator once."""
+    frontier = np.unique(np.asarray(frontier, dtype=np.int64))
     while frontier.size:
-        current = np.flatnonzero(mask)
-        products = np.concatenate(
-            [table[np.ix_(frontier, current)].ravel(), table[np.ix_(current, frontier)].ravel()]
-        )
-        new = np.unique(products)
-        new = new[~mask[new]]
-        mask[new] = True
-        frontier = new
-    return mask
+        frontier = frontier[~mask[frontier]]
+        mask[frontier] = True
+        frontier = np.unique(table[np.ix_(frontier, gens)])
 
 
 def _generating_set(table: np.ndarray) -> list[int]:
-    """Greedy generating set: scan ascending, add elements not yet generated."""
-    n = table.shape[0]
-    covered = np.zeros(n, dtype=bool)
+    """Greedy generating set: scan ascending, add elements not yet generated.
+    Adding x covers x and c*x for each covered c, then their right products
+    by the generators so far: O(n*|A|) products for the final set A."""
+    covered = np.zeros(table.shape[0], dtype=bool)
     gens: list[int] = []
-    for x in range(n):
+    for x in range(table.shape[0]):
         if not covered[x]:
             gens.append(x)
-            covered = _closure_mask(table, [x], covered)
+            _cover(table, gens, covered, np.append(table[covered, x], x))
     return gens
 
 
@@ -313,11 +306,19 @@ def closure(S: FiniteSemigroup, gens: Sequence[int]) -> SubsetHandle:
     for g in gens:
         if not 0 <= int(g) < S.order:
             raise OutOfRange(f"generator {g} not in [0,{S.order})")
-    return SubsetHandle(S, tuple(np.flatnonzero(_closure_mask(S.table, gens))))
+    mask, gens = np.zeros(S.order, dtype=bool), np.asarray(gens, dtype=np.int64)
+    _cover(S.table, gens, mask, gens)
+    return SubsetHandle(S, tuple(np.flatnonzero(mask)))
 
 
 # ---------------------------------------------------------------------------
 # element-level predicates
+
+
+def _check_element(S: FiniteSemigroup, x: int) -> None:
+    """Refuse an element argument outside [0, n); -1 must not wrap to n-1."""
+    if not 0 <= x < S.order:
+        raise OutOfRange(f"element {x} not in [0,{S.order})")
 
 
 def idempotents(S: FiniteSemigroup) -> SubsetHandle:
@@ -386,8 +387,7 @@ def center(S: FiniteSemigroup) -> SubsetHandle:
 
 def centralizer(S: FiniteSemigroup, a: int) -> SubsetHandle:
     """C(a) = {x : xa = ax}."""
-    if not 0 <= a < S.order:
-        raise OutOfRange(f"element {a} not in [0,{S.order})")
+    _check_element(S, a)
     members = np.flatnonzero(S.table[:, a] == S.table[a, :])
     return SubsetHandle(S, tuple(members))
 
@@ -405,8 +405,7 @@ def monogenic(S: FiniteSemigroup, s: int) -> MonogenicResult:
     The unique idempotent of <s> is s^k for the least multiple k of the
     period with k >= index.
     """
-    if not 0 <= s < S.order:
-        raise OutOfRange(f"element {s} not in [0,{S.order})")
+    _check_element(S, s)
     seen: dict[int, int] = {}
     powers = []
     x = s

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .greens import (
     _first_restriction_violation,
+    _ideal_rows,
     _labels,
     _two_sided_rows,
     greens_structure,
@@ -432,7 +433,7 @@ def _check_kernel(S):
     K = report.kernel.members
     every = np.arange(S.order)
     # row i: the ideal S^1 x S^1 that x = K[i] generates
-    smaller = (_two_sided_rows(S.table, list(K), every) != np.isin(every, K)).any(axis=1)
+    smaller = (_two_sided_rows(_ideal_rows(S), list(K), every) != np.isin(every, K)).any(axis=1)
     if smaller.any():
         return f"kernel not minimal: {K[int(smaller.argmax())]} generates a smaller ideal"
     if not report.idempotents:
@@ -494,7 +495,7 @@ def _check_swelling(S):
 def _check_d_composition(S):
     G = greens_structure(S)
     every = np.arange(S.order)
-    j = _labels(_two_sided_rows(S.table, every, every))  # by principal ideal S^1 x S^1
+    j = _labels(_two_sided_rows(_ideal_rows(S), every, every))  # by principal ideal S^1 x S^1
     if not np.array_equal(G.d_class, j):
         return "D != J"
     # every egg-box cell nonempty <=> D = RL = LR inside each D-class

@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import _BLOCK, FiniteSemigroup, SubsetHandle, _derived, subsemigroup_table
+from .core import _BLOCK, FiniteSemigroup, SubsetHandle, _check_element, _derived, subsemigroup_table
 from .errors import NotAnHClass, NotRegularSubsemigroup
 
 
@@ -18,44 +18,33 @@ class PrincipalIdeals(NamedTuple):
     two_sided: SubsetHandle
 
 
-def _right_ideal_members(T: np.ndarray, s: int) -> np.ndarray:
-    """s S^1 as a sorted index array.  A left ideal of S is a right ideal of
-    the opposite semigroup, whose table is T.T, so S^1 s is this over T.T."""
-    inside = np.zeros(len(T), dtype=bool)
-    inside[T[s]] = inside[s] = True
-    return inside.nonzero()[0]
-
-
-def _two_sided_ideal_members(T: np.ndarray, s: int) -> np.ndarray:
-    right = _right_ideal_members(T, s)
-    return np.unique(np.concatenate([right, T[:, right].ravel()]))
-
-
 def principal_ideals(S: FiniteSemigroup, s: int) -> PrincipalIdeals:
     """The three principal ideals S^1 s, s S^1 and S^1 s S^1."""
-    T = S.table
-    return PrincipalIdeals(
-        SubsetHandle(S, tuple(_right_ideal_members(T.T, s))),
-        SubsetHandle(S, tuple(_right_ideal_members(T, s))),
-        SubsetHandle(S, tuple(_two_sided_ideal_members(T, s))),
-    )
+    _check_element(S, s)
+    left, right = _ideal_rows(S)
+    rows = (left[s], right[s], left[right[s]].any(axis=0))  # S^1 s S^1: S^1 y over y in s S^1
+    return PrincipalIdeals(*(SubsetHandle(S, tuple(np.flatnonzero(row).tolist())) for row in rows))
 
 
-def _ideal_rows(T: np.ndarray) -> np.ndarray:
-    """Membership rows of the principal right ideals: row s of the n×n bool
-    array is s S^1 (S^1 s over T.T)."""
-    rows = np.eye(len(T), dtype=bool)
-    rows[np.arange(len(T))[:, None], T] = True  # s*x in s S^1
-    return rows
+@_derived
+def _ideal_rows(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
+    """The principal one-sided ideals, once per semigroup: read-only n×n bool
+    membership rows (left, right), row x being S^1 x and x S^1.  A left ideal
+    is a right ideal of the opposite semigroup, whose table is T.T."""
+    n = S.order
+    pair = (np.eye(n, dtype=bool), np.eye(n, dtype=bool))
+    for rows, U in zip(pair, (S.table.T, S.table)):
+        rows[np.arange(n)[:, None], U] = True  # row x holds U[x, y]: y*x on the left, x*y on the right
+        rows.setflags(write=False)
+    return pair
 
 
-def _two_sided_rows(T: np.ndarray, rows, cols) -> np.ndarray:
-    """out[i, k]: cols[k] lies in S^1 x S^1 for x = rows[i].  S^1 x S^1 is the
-    union of S^1 y over y in x S^1: one float32 product of membership rows,
-    exact below order 2**24."""
-    right = _ideal_rows(T)[rows].astype(np.float32)
-    left = _ideal_rows(T.T)[:, cols].astype(np.float32)
-    return right @ left > 0
+def _two_sided_rows(pair, rows, cols) -> np.ndarray:
+    """out[i, k]: cols[k] lies in S^1 x S^1 for x = rows[i], read off the
+    pair of _ideal_rows.  S^1 x S^1 is the union of S^1 y over y in x S^1:
+    one float32 product of membership rows, exact below order 2**24."""
+    left, right = pair
+    return right[rows].astype(np.float32) @ left[:, cols].astype(np.float32) > 0
 
 
 def _labels(keys: np.ndarray) -> np.ndarray:
@@ -86,6 +75,7 @@ class EggBox:
 @dataclass(frozen=True)
 class GreensStructure:
     table: np.ndarray  # the semigroup's read-only Cayley table
+    ideal_rows: tuple[np.ndarray, np.ndarray]  # _ideal_rows: S^1 x and x S^1
     l_class: np.ndarray
     r_class: np.ndarray
     j_class: np.ndarray
@@ -103,7 +93,7 @@ class GreensStructure:
         """k×k bool, built on first read: [lo, hi] when D_lo lies strictly
         under D_hi, each D-class read at its least member."""
         reps = [m[0] for m in self.d_classes]
-        below = _two_sided_rows(self.table, reps, reps).T
+        below = _two_sided_rows(self.ideal_rows, reps, reps).T
         np.fill_diagonal(below, False)
         return below
 
@@ -132,9 +122,9 @@ class GreensStructure:
         }
 
 
-def _lrh_labels(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lrh_labels(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """L and R labels from principal one-sided ideals, and H, their meet."""
-    l, r = (_labels(np.packbits(_ideal_rows(U), axis=1)) for U in (T.T, T))
+    l, r = (_labels(np.packbits(rows, axis=1)) for rows in _ideal_rows(S))
     return l, r, _labels(np.stack((l, r), axis=1))
 
 
@@ -144,7 +134,7 @@ def greens_structure(S: FiniteSemigroup) -> GreensStructure:
     D is L∘R, so the least member of D_x is the least member of R_z over z
     in L_x.  On a finite semigroup D = J, so the J partition is D's."""
     n = S.order
-    l, r, h = _lrh_labels(S.table)
+    l, r, h = _lrh_labels(S)
     r_least = np.full(n, n)
     np.minimum.at(r_least, r, np.arange(n))
     d_least = np.full(n, n)
@@ -170,6 +160,7 @@ def greens_structure(S: FiniteSemigroup) -> GreensStructure:
     d_classes = tuple(tuple(m) for m in d_members)
     return GreensStructure(
         table=S.table,
+        ideal_rows=_ideal_rows(S),
         l_class=l,
         r_class=r,
         j_class=d,
@@ -225,6 +216,7 @@ def h_class_is_group(S: FiniteSemigroup, h: SubsetHandle) -> bool:
 
 def is_regular(S: FiniteSemigroup, s: int) -> bool:
     """True iff some t satisfies s*t*s = s."""
+    _check_element(S, s)
     T = S.table
     return bool((T[T[s, :], s] == s).any())
 
@@ -247,7 +239,7 @@ def greens_restriction_check(S: FiniteSemigroup, T: SubsetHandle) -> Restriction
     GS = greens_structure(S)
     members = np.asarray(incl.map)
     violations = []
-    for name, attr, inner in zip("LRH", ("l_class", "r_class", "h_class"), _lrh_labels(U)):
+    for name, attr, inner in zip("LRH", ("l_class", "r_class", "h_class"), _lrh_labels(sub)):
         outer = getattr(GS, attr)[members]
         if np.array_equal(_labels(outer), inner):
             continue  # T's classes are S's classes restricted to T

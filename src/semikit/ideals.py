@@ -13,6 +13,7 @@ from .core import (
     FiniteSemigroup,
     SemigroupMorphism,
     SubsetHandle,
+    _check_element,
     _derived,
     idempotents,
 )
@@ -22,23 +23,23 @@ from .errors import (
     NotIdempotent,
     SearchCapExceeded,
 )
-from .greens import _ideal_rows, _right_ideal_members, _two_sided_ideal_members
+from .greens import _ideal_rows
 
 # Full ideal enumeration walks 2^n subsets.
 IDEAL_ENUM_LIMIT = 6
 
 
-def _is_right_ideal(T: np.ndarray, members) -> bool:
-    """Nonempty and closed under multiplication on the right; over T.T,
-    closed on the left (a left ideal)."""
+def _is_ideal(rows: np.ndarray, members) -> bool:
+    """Nonempty and holding the row of each member: a left ideal over the
+    left rows of _ideal_rows, a right ideal over the right ones."""
     mem = np.asarray(members, dtype=np.int64)
-    inside = np.zeros(T.shape[0], dtype=bool)
+    inside = np.zeros(len(rows), dtype=bool)
     inside[mem] = True
-    return bool(mem.size and inside[T[mem, :]].all())
+    return bool(mem.size) and not rows[mem][:, ~inside].any()
 
 
-def _is_two_sided_ideal(T: np.ndarray, members) -> bool:
-    return _is_right_ideal(T.T, members) and _is_right_ideal(T, members)
+def _is_two_sided_ideal(S: FiniteSemigroup, members) -> bool:
+    return all(_is_ideal(rows, members) for rows in _ideal_rows(S))
 
 
 def is_minimal_one_sided_ideal(S: FiniteSemigroup, members: Sequence[int], side: str) -> bool:
@@ -46,11 +47,12 @@ def is_minimal_one_sided_ideal(S: FiniteSemigroup, members: Sequence[int], side:
     iff S^1 x = L for every x in L (dually for right ideals)."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    U = S.table.T if side == "left" else S.table  # left ideals are right ideals of U
-    mem = sorted(set(int(m) for m in members))
-    if not _is_right_ideal(U, mem):
+    left, right = _ideal_rows(S)
+    rows = left if side == "left" else right
+    mem = list(SubsetHandle(S, tuple(members)).members)  # sorted, distinct, range-checked
+    if not _is_ideal(rows, mem):
         raise NotAnIdeal(f"{mem} is not a {side} ideal")
-    return all(np.array_equal(_right_ideal_members(U, x), mem) for x in mem)
+    return bool(rows[np.ix_(mem, mem)].all())  # each S^1 x lies in L, so holds L
 
 
 class MinimalIdealVerdict(NamedTuple):
@@ -70,6 +72,7 @@ def minimal_ideal_equivalences(S: FiniteSemigroup, e: int) -> MinimalIdealVerdic
     """Evaluate, independently, the four statements (Se minimal left ideal;
     eSe a group; eS minimal right ideal; K = SeS).  They agree on every
     finite semigroup; the verify harness checks that they do."""
+    _check_element(S, e)
     if S.product(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent")
     return MinimalIdealVerdict(*_minimal_ideal_table(S, [e])[2][0].tolist())
@@ -82,7 +85,7 @@ def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray,
     taken in slices, so that no gather exceeds _BLOCK entries."""
     T, n = S.table, S.order
     E = np.asarray(E, dtype=np.int64)
-    left, right = _ideal_rows(T.T), _ideal_rows(T)  # row x: S^1 x, x S^1
+    left, right = _ideal_rows(S)  # row x: S^1 x, x S^1
     se, es = left[E], right[E]
     in_kernel = np.isin(np.arange(n), kernel_members(S))
     table = np.empty((len(E), 4), dtype=bool)
@@ -107,11 +110,11 @@ def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray,
 def kernel_members(S: FiniteSemigroup) -> tuple[int, ...]:
     """The unique minimal ideal K = S^1 z S^1, once per semigroup: z, the
     product of all elements, lies in every principal ideal, hence in K."""
-    T = S.table
+    T, (left, right) = S.table, _ideal_rows(S)
     z = 0
     for x in range(1, S.order):
         z = T[z, x]
-    return tuple(int(x) for x in _two_sided_ideal_members(T, z))
+    return tuple(np.flatnonzero(left[right[z]].any(axis=0)).tolist())  # S^1 y over y in z S^1
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ def rees_quotient(S: FiniteSemigroup, I: SubsetHandle):
     which is the one condition checked.
     """
     T = S.table
-    if not _is_two_sided_ideal(T, I.members):
+    if not _is_two_sided_ideal(S, I.members):
         raise NotAnIdeal(f"{list(I.members)} is not a two-sided ideal")
     survivors = np.setdiff1d(np.arange(S.order), I.members)
     proj = np.zeros(S.order, dtype=np.int64)

@@ -15,6 +15,7 @@ from .core import (
     SemigroupMorphism,
     SubsetHandle,
     _BLOCK,
+    _check_element,
     _check_order,
     _derived,
     _int_rows,
@@ -29,10 +30,9 @@ from .errors import (
     NotAGroup,
     NotCompletelySimple,
     NotIdempotent,
-    OutOfRange,
     SearchCapExceeded,
 )
-from .greens import _right_ideal_members, greens_structure
+from .greens import _ideal_rows, greens_structure
 from .ideals import kernel_members
 
 DEFAULT_SEARCH_CAP = 16
@@ -121,8 +121,8 @@ class ReesDecomposition:
 
 
 def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposition:
-    if e is not None and not 0 <= e < S.order:
-        raise OutOfRange(f"element {e} not in [0,{S.order})")
+    if e is not None:
+        _check_element(S, e)
     if not is_completely_simple(S):
         raise NotCompletelySimple("rees_decompose requires a completely simple semigroup")
     T = S.table
@@ -130,8 +130,7 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
     e = int(np.argmax(is_idem)) if e is None else int(e)
     if not is_idem[e]:
         raise NotIdempotent(f"{e} is not idempotent")
-    se = _right_ideal_members(T.T, e)  # Se = S^1 e, as e = ee
-    es = _right_ideal_members(T, e)
+    se, es = (np.flatnonzero(rows[e]) for rows in _ideal_rows(S))  # Se = S^1 e, as e = ee
     i_arr = se[is_idem[se]]
     lam_arr = es[is_idem[es]]
     g_arr = np.unique(T[T[e, :], e])  # eSe = H_e

@@ -6,7 +6,7 @@ import pytest
 
 import semikit as sk
 from semikit import core
-from semikit.core import _closure_mask, _generating_set, associativity_witness, dumps_sg, loads_sg
+from semikit.core import _generating_set, associativity_witness, dumps_sg, loads_sg
 from semikit.corpus import gen_transformation_closure
 from semikit.errors import (
     EmptyGenerators,
@@ -282,6 +282,20 @@ def test_loads_sg_rejects_malformed(text):
         loads_sg(text)
 
 
+def closure_oracle(table, gens):
+    """Mask of the subsemigroup generated by gens: a plain fixpoint that adds
+    the products of all pairs of members until none is new."""
+    mask = np.zeros(len(table), dtype=bool)
+    mask[gens] = True
+    while True:
+        members = np.flatnonzero(mask)
+        grown = mask.copy()
+        grown[table[np.ix_(members, members)]] = True
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
+
+
 def generating_set_oracle(table):
     """The greedy generating set, each closure taken from scratch."""
     covered = np.zeros(len(table), dtype=bool)
@@ -289,7 +303,7 @@ def generating_set_oracle(table):
     for x in range(len(table)):
         if not covered[x]:
             gens.append(x)
-            covered |= _closure_mask(table, gens)
+            covered = closure_oracle(table, gens)
     return gens
 
 
@@ -302,8 +316,27 @@ def test_generating_set_matches_oracle(census4):
         assert _generating_set(table) == generating_set_oracle(table)
 
 
-def test_closure_mask_extends_closed_mask(census4):
+def test_closure_matches_fixpoint(census4):
     for S in census4:
         for x, y in itertools.product(range(S.order), repeat=2):
-            closed = _closure_mask(S.table, [x])
-            assert np.array_equal(_closure_mask(S.table, [y], closed), _closure_mask(S.table, [x, y]))
+            expected = tuple(np.flatnonzero(closure_oracle(S.table, [x, y])).tolist())
+            assert sk.closure(S, [x, y]).members == expected, (S.name, x, y)
+
+
+@pytest.mark.parametrize("x", [-1, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        sk.principal_ideals,
+        sk.is_regular,
+        sk.minimal_ideal_equivalences,
+        sk.centralizer,
+        sk.monogenic,
+        sk.rees_decompose,
+    ],
+)
+def test_element_arguments_are_range_checked(t2, call, x):
+    # on T2 (order 4), -1 must not wrap around to element 3, and 4 must not
+    # reach numpy as an IndexError
+    with pytest.raises(OutOfRange, match=rf"element {x} not in \[0,4\)"):
+        call(t2, x)

@@ -2,11 +2,13 @@
 
 import gc
 
+import numpy as np
 import pytest
 
 import semikit as sk
 from semikit.corpus import census
 from semikit.errors import SearchCapExceeded
+from semikit.greens import _ideal_rows
 from semikit.ideals import kernel_members
 
 
@@ -32,6 +34,16 @@ def test_cached_members_match_fresh_computation(census4):
             assert sk.idempotents(S).members == sk.idempotents(copy).members
             got = [T.members for T in sk.enumerate_subsemigroups(S)]
             assert got == [T.members for T in sk.enumerate_subsemigroups(copy)]
+
+
+def test_ideal_rows_kept_once(census4, seeded_closures):
+    for S in list(census4) + seeded_closures:
+        pair = _ideal_rows(S)
+        assert _ideal_rows(S) is pair
+        assert sk.greens_structure(S).ideal_rows is pair  # the D-order reads the same pair
+        assert not any(rows.flags.writeable for rows in pair)
+        fresh = _ideal_rows(fresh_copy(S))
+        assert all(np.array_equal(a, b) for a, b in zip(pair, fresh))
 
 
 def test_enumerate_subsemigroups_returns_a_new_list(rb22):

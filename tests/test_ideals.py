@@ -6,8 +6,7 @@ import pytest
 
 import semikit as sk
 from semikit.core import associativity_witness
-from semikit.errors import ElementNotInSubset, NotAnIdeal, NotIdempotent, SearchCapExceeded
-from semikit.greens import _right_ideal_members
+from semikit.errors import ElementNotInSubset, NotAnIdeal, NotIdempotent, OutOfRange, SearchCapExceeded
 from semikit.ideals import (
     _is_two_sided_ideal,
     _minimal_ideal_table,
@@ -17,6 +16,21 @@ from semikit.ideals import (
     kernel_members,
     minimal_ideal_equivalences,
 )
+
+
+def right_ideal_members(T, s):
+    """Oracle: s S^1 as a sorted index array, one element at a time.  A left
+    ideal of S is a right ideal of the opposite semigroup, whose table is
+    T.T, so S^1 s is this over T.T."""
+    inside = np.zeros(len(T), dtype=bool)
+    inside[T[s]] = inside[s] = True
+    return inside.nonzero()[0]
+
+
+def two_sided_members(T, s):
+    """Oracle: S^1 s S^1, the left multiples of the members of s S^1."""
+    right = right_ideal_members(T, s)
+    return np.unique(np.concatenate([right, T[:, right].ravel()]))
 
 
 def exhaustive_is_minimal(S, members, side):
@@ -92,8 +106,8 @@ def minimal_ideal_oracle(S, e):
     and eS tested for minimality element by element, eSe re-tabled and
     asked is_group, and SeS as the union of the rows xS."""
     T = S.table
-    se = _right_ideal_members(T.T, e)  # Se = S^1 e, as e = ee
-    es = _right_ideal_members(T, e)
+    se = right_ideal_members(T.T, e)  # Se = S^1 e, as e = ee
+    es = right_ideal_members(T, e)
     ese = np.unique(T[T[e, :], e])
     ses = np.unique(T[se, :].ravel())
     sub, _ = sk.subsemigroup_table(S, ese)
@@ -112,8 +126,8 @@ def test_minimal_ideal_table_matches_oracle(census5, seeded_closures):
         se, es, table = _minimal_ideal_table(S, E)
         for i, e in enumerate(E):
             assert tuple(table[i].tolist()) == minimal_ideal_oracle(S, e), (S.name, e)
-            assert se[i].nonzero()[0].tolist() == _right_ideal_members(S.table.T, e).tolist()
-            assert es[i].nonzero()[0].tolist() == _right_ideal_members(S.table, e).tolist()
+            assert se[i].nonzero()[0].tolist() == right_ideal_members(S.table.T, e).tolist()
+            assert es[i].nonzero()[0].tolist() == right_ideal_members(S.table, e).tolist()
         rows |= set(map(tuple, table.tolist()))
     assert rows == {(True,) * 4, (False,) * 4}
 
@@ -142,6 +156,25 @@ def test_kernel_memory_bounded():
     assert peak < 20 << 20
 
 
+def test_principal_ideals_match_single_element_oracle(census4, seeded_closures):
+    # every principal-ideal answer read off the kept pair of membership
+    # matrices against the one-element-at-a-time oracle
+    for S in list(census4) + seeded_closures:
+        T = S.table
+        for s in range(S.order):
+            left, right = right_ideal_members(T.T, s), right_ideal_members(T, s)
+            two = two_sided_members(T, s)
+            got = [h.members for h in sk.principal_ideals(S, s)]
+            assert got == [tuple(a.tolist()) for a in (left, right, two)], (S.name, s)
+            for members, U, side in ((left, T.T, "left"), (right, T, "right")):
+                minimal = all(np.array_equal(right_ideal_members(U, x), members) for x in members)
+                assert is_minimal_one_sided_ideal(S, members, side) == minimal, (S.name, s, side)
+        z = 0
+        for x in range(1, S.order):
+            z = T[z, x]
+        assert kernel_members(S) == tuple(two_sided_members(T, z).tolist()), S.name
+
+
 def test_minimality_methods_agree(t2, pb, rb22, z3):
     for S in (t2, pb, rb22, z3):
         for e in sk.idempotents(S):
@@ -157,6 +190,13 @@ def test_minimality_methods_agree(t2, pb, rb22, z3):
 def test_minimal_one_sided_ideal_rejects_non_ideal(t2, members, side):
     with pytest.raises(NotAnIdeal):
         is_minimal_one_sided_ideal(t2, members, side)
+
+
+@pytest.mark.parametrize("members", [[-2], [2, 4]])
+def test_minimal_one_sided_ideal_rejects_out_of_range(t2, members):
+    # -2 must not wrap around to element 2, which is a minimal right ideal
+    with pytest.raises(OutOfRange):
+        is_minimal_one_sided_ideal(t2, members, "right")
 
 
 def test_enumerate_ideals_cap():
@@ -320,7 +360,7 @@ def subsets(n):
 
 def test_enumerate_ideals_matches_subset_scan(census4):
     for S in census4:
-        expected = [A for A in subsets(S.order) if _is_two_sided_ideal(S.table, A)]
+        expected = [A for A in subsets(S.order) if _is_two_sided_ideal(S, A)]
         assert enumerate_ideals(S) == expected, S.name
 
 
