@@ -26,6 +26,9 @@ DEFAULT_MAX_ORDER = 4096
 # Above this order associativity is checked against a generating set only.
 DIRECT_CHECK_LIMIT = 256
 _BLOCK = 1 << 19  # entries gathered at once; bounds transient memory
+# Bytes of maps a transformation closure may hold at the order cap, so its
+# memory is bounded by degree too; its product blocks are a few times this.
+_MAPS_BUDGET = 1 << 24
 
 
 def max_order() -> int:
@@ -304,7 +307,9 @@ def closure(S: FiniteSemigroup, gens: Sequence[int]) -> SubsetHandle:
     if not gens:
         raise EmptyGenerators("closure requires at least one generator")
     for g in gens:
-        if not 0 <= int(g) < S.order:
+        if not isinstance(g, (int, np.integer)):
+            raise OutOfRange(f"generator {g!r} is not an integer")
+        if not 0 <= g < S.order:
             raise OutOfRange(f"generator {g} not in [0,{S.order})")
     mask, gens = np.zeros(S.order, dtype=bool), np.asarray(gens, dtype=np.int64)
     _cover(S.table, gens, mask, gens)
@@ -461,13 +466,25 @@ def subsemigroup_table(S: FiniteSemigroup, members: Sequence[int]):
 def dumps_sg(S: FiniteSemigroup) -> str:
     """Cayley-table text: one '#' header, then n, then n rows of n entries."""
     header = S.name if S.name else f"semigroup of order {S.order}"
-    lines = [f"# {header}", str(S.order)]
-    lines.extend(" ".join(map(str, row)) for row in S.table.tolist())
-    return "\n".join(lines) + "\n"
+    labels = np.array([str(x) for x in range(S.order)], dtype=object)
+    rows = map(" ".join, labels[S.table].tolist())  # decimal labels gathered once
+    return "\n".join([f"# {header}", str(S.order), *rows]) + "\n"
 
 
-def _int_rows(lines: Sequence[str], width: int, what: str) -> list[list[int]]:
-    """Parse text lines of exactly ``width`` whitespace-separated integers."""
+def _int_rows(lines: Sequence[str], width: int, what: str):
+    """Parse text lines of exactly ``width`` whitespace-separated integers.
+    On ASCII, np.loadtxt accepts a subset of what int() does, with the same
+    values (elsewhere it reads letters as digits, and U+10FFFF crashes it);
+    the rest is reparsed by int(), line by line, for the same result or error."""
+    if lines and all(line.isascii() for line in lines):
+        try:
+            # comments=None: int() refuses a trailing '# ...', so must this
+            rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if rows.shape == (len(lines), width):
+                return rows
     rows = []
     for i, line in enumerate(lines):
         row = [int(tok) for tok in line.split()]
@@ -484,6 +501,7 @@ def loads_sg(text: str, name: Optional[str] = None) -> FiniteSemigroup:
     n = int(rows[0].strip())
     if len(rows) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(rows) - 1}")
+    _check_order(n)  # before parsing n*n entries
     return from_table(n, _int_rows(rows[1:], n, "table"), name=name)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     _BLOCK,
+    _MAPS_BUDGET,
     FiniteSemigroup,
     _check_order,
     direct_product,
@@ -202,6 +203,21 @@ def gen_random_rees(
     return rees_construct(i_size, lambda_size, group, sandwich)
 
 
+def _first_equal(rows: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row equal to it: a stable
+    lexicographic sort of the rows, then a comparison of adjacent ones."""
+    cols = rows.T[::-1]  # np.lexsort's primary key is its last
+    order = np.lexsort(cols)
+    starts = np.arange(len(rows)) == 0
+    for col in cols:
+        ranked = col[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    runs = np.flatnonzero(starts)  # stable: each run opens at its least index
+    first = np.empty_like(order)
+    first[order] = np.repeat(order[runs], np.diff(runs, append=len(rows)))
+    return first
+
+
 def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSemigroup:
     """Close seeded random self-maps of [0, degree) under composition.
 
@@ -209,27 +225,32 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
     order of discovery: the distinct generators, then round by round, for
     each map f found in the previous round, f∘g over every map g known at
     the start of the round, then g∘f.  The maps are the rows of one array,
-    told apart by the bytes of their row.
+    told apart and looked up by a lexicographic sort of rows at any degree.
+    Overflow comes before anything is generated when ``max_order()`` maps of
+    this degree would outgrow ``_MAPS_BUDGET`` bytes.
     """
     from .core import max_order  # census() has a parameter of that name
 
     if degree < 1 or n_maps < 1:
         raise ValueError(f"transformation degree {degree} and map count {n_maps} must be positive")
-    rng = SplitMix64(seed)
-    maps = np.empty((0, degree), dtype=np.min_scalar_type(degree - 1))
-    key_type = np.dtype((np.void, maps.itemsize * degree))
     cap = max_order()
+    dtype = np.min_scalar_type(degree - 1)
+    if cap * degree * dtype.itemsize > _MAPS_BUDGET:
+        raise Overflow(f"{cap} maps of degree {degree} exceed the closure's map budget")
+    rng = SplitMix64(seed)
+    maps = np.empty((0, degree), dtype=dtype)
 
     def grow(rows: np.ndarray) -> None:
         """Append the rows not yet known, in order of first occurrence."""
         nonlocal maps
-        first = np.unique(np.concatenate((maps, rows)).view(key_type), return_index=True)[1]
-        fresh = np.sort(first[first >= len(maps)]) - len(maps)
-        if len(maps) + len(fresh) > cap:
+        k = len(maps)
+        first = _first_equal(np.concatenate((maps, rows)))[k:]
+        fresh = np.flatnonzero(first == np.arange(k, k + len(rows)))
+        if k + len(fresh) > cap:
             raise Overflow(f"transformation closure exceeds max order {cap}")
         maps = np.concatenate((maps, rows[fresh]))
 
-    grow(np.array([[rng.below(degree) for _ in range(degree)] for _ in range(n_maps)], maps.dtype))
+    grow(np.array([[rng.below(degree) for _ in range(degree)] for _ in range(n_maps)], dtype))
     lo = 0
     while lo < len(maps):
         known, hi = maps, len(maps)
@@ -240,12 +261,12 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
             grow(np.stack((f[:, known], known[:, f].swapaxes(0, 1)), axis=1).reshape(-1, degree))
         lo = hi
     n = len(maps)
-    keys, ids = np.unique(maps.view(key_type).ravel(), return_index=True)  # maps are distinct
     table = np.empty((n, n), dtype=np.int64)
     step = max(1, _BLOCK // (n * degree))
     for a in range(0, n, step):
-        prods = maps[a : a + step][:, maps].reshape(-1, degree).view(key_type).ravel()
-        table[a : a + step] = ids[np.searchsorted(keys, prods)].reshape(-1, n)
+        prods = maps[a : a + step][:, maps].reshape(-1, degree)
+        # maps sort before their equal products, and the maps are distinct
+        table[a : a + step] = _first_equal(np.concatenate((maps, prods)))[n:].reshape(-1, n)
     return FiniteSemigroup(table, name=f"T({degree},{n_maps},{seed})", validate=False)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from semikit.errors import (
     EmptyGenerators,
     NotAssociative,
     OutOfRange,
+    Overflow,
 )
 
 
@@ -105,6 +107,17 @@ def test_closure_idempotent_fixed_point(pb):
 def test_closure_empty_generators(z3):
     with pytest.raises(EmptyGenerators):
         sk.closure(z3, [])
+
+
+@pytest.mark.parametrize("gen", [1.5, "1", 1.0, None])
+def test_closure_refuses_non_integer_generators(gen):
+    # 1.5 must not be truncated to 1, whose closure is all of Z6
+    with pytest.raises(OutOfRange, match="not an integer"):
+        sk.closure(sk.gen_standard("cyclic", 6), [gen])
+
+
+def test_closure_accepts_numpy_integers(z3):
+    assert sk.closure(z3, [np.int64(1)]).members == sk.closure(z3, [np.uint8(1)]).members == (0, 1, 2)
 
 
 def test_idempotents(z3, pb, t2):
@@ -280,6 +293,73 @@ def test_subsemigroup_table_rejects_out_of_range(t2):
 def test_loads_sg_rejects_malformed(text):
     with pytest.raises(ValueError):
         loads_sg(text)
+
+
+def int_rows_oracle(lines, width, what):
+    """The per-line int() parser that core._int_rows falls back to."""
+    rows = []
+    for i, line in enumerate(lines):
+        row = [int(tok) for tok in line.split()]
+        if len(row) != width:
+            raise ValueError(f"{what} row {i} has {len(row)} entries, expected {width}")
+        rows.append(row)
+    return rows
+
+
+def dumps_sg_oracle(S):
+    """The writer that joins str() of every entry, row by row."""
+    header = S.name if S.name else f"semigroup of order {S.order}"
+    lines = [f"# {header}", str(S.order)]
+    lines.extend(" ".join(map(str, row)) for row in S.table.tolist())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("1\n" + str(2**70), OutOfRange, "table entries must lie in [0,1)"),
+        ("1\n" + str(2**63), OutOfRange, "table entries must lie in [0,1)"),
+        ("2\n0 0 0\n0\n", ValueError, "table row 0 has 3 entries, expected 2"),
+        ("2\n0 0 0\n0 0 0\n", ValueError, "table row 0 has 3 entries, expected 2"),
+        ("2\n0 1 # c\n0 1\n", ValueError, "invalid literal for int() with base 10: '#'"),
+        ("2\n0 1\n1 0 # c\n", ValueError, "invalid literal for int() with base 10: '#'"),
+        ("1\n1_0", OutOfRange, "entry at (0,0) = 10 not in [0,1)"),
+        # np.loadtxt reads U+01FE as the digit 462; int() refuses it
+        ("1\n\u01fe", ValueError, "invalid literal for int() with base 10: '\u01fe'"),
+        ("2\n0 1\n1 \u01fe", ValueError, "invalid literal for int() with base 10: '\u01fe'"),
+    ],
+)
+def test_loads_sg_error_contract(text, error, message):
+    with pytest.raises(error) as info:
+        loads_sg(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["1\n\u0660", "1\n+0", "1\n-0", "1\n\t0\x1f", "2\n0\u30001\n1 1"])
+def test_loads_sg_reads_what_int_reads(text):
+    # Arabic-Indic zero, signs and Unicode spaces load as int() reads them
+    with mock.patch.object(core, "_int_rows", int_rows_oracle):
+        expected = loads_sg(text).table
+    assert np.array_equal(loads_sg(text).table, expected)
+
+
+def test_loads_sg_refuses_over_cap_header_before_parsing(monkeypatch):
+    # an order-838 body of 838 bad rows: the header alone is refused
+    monkeypatch.setenv("SEMIKIT_MAX_ORDER", "4")
+    with mock.patch.object(core, "_int_rows", side_effect=AssertionError("parsed")):
+        with pytest.raises(Overflow, match="order 838 exceeds configured maximum 4"):
+            loads_sg("838\n" + "x\n" * 838)
+        with pytest.raises(ValueError, match="^semigroup must have at least one element$"):
+            loads_sg("0\n")
+
+
+def test_dumps_sg_matches_join_writer(census4, seeded_closures):
+    i = np.arange(1024)
+    chain = sk.FiniteSemigroup(np.minimum.outer(i, i), validate=False)
+    for S in [*census4, *seeded_closures]:
+        assert dumps_sg(S) == dumps_sg_oracle(S)
+        assert np.array_equal(loads_sg(dumps_sg(S)).table, S.table)
+    assert dumps_sg(chain) == dumps_sg_oracle(chain)  # loading it takes seconds
 
 
 def closure_oracle(table, gens):

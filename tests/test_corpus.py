@@ -180,6 +180,39 @@ def test_transformation_closure_overflow_is_cheap(monkeypatch):
     assert peak < 64 << 20
 
 
+def test_transformation_closure_degree_refused_before_generating(monkeypatch):
+    # 4096 maps of degree 99999 would need 1.6 GB; refused from the header
+    # arithmetic, before even the 200k generator entries are drawn
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Overflow, match="map budget"):
+            parse_descriptor("transformation:99999,2,0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the bound is on 4096 maps of 2-byte entries, 16 MiB up to degree 2048
+    with pytest.raises(Overflow, match="map budget"):
+        gen_transformation_closure(2049, 2, 0)
+    monkeypatch.setenv("SEMIKIT_MAX_ORDER", "2")  # two such maps fit
+    with pytest.raises(Overflow, match="exceeds max order 2"):
+        gen_transformation_closure(2049, 2, 0)
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda width: st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width), min_size=1, max_size=60)
+    ),
+    st.sampled_from([np.uint8, np.uint16, np.int64]),
+)
+@settings(max_examples=200, deadline=None)
+def test_first_equal_matches_dict(rows, dtype):
+    first: dict[tuple, int] = {}
+    expected = [first.setdefault(tuple(row), i) for i, row in enumerate(rows)]
+    assert corpus_mod._first_equal(np.array(rows, dtype=dtype)).tolist() == expected
+
+
 @functools.cache
 def associative_tables_oracle(n):
     """Every associative labelled n x n table, flattened: a DFS over the

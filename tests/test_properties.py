@@ -6,11 +6,12 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import semikit as sk
-from semikit import core
+from semikit import core, simple
 from semikit.core import associativity_witness
 from semikit.corpus import census, gen_random_rees
 from semikit.errors import NotAssociative, SemigroupError
 from semikit.simple import dumps_rms, loads_rms
+from test_core import int_rows_oracle
 
 
 def brute_associative(table):
@@ -207,3 +208,56 @@ def test_text_loaders_parse_or_raise_input_errors(text):
             loads(text)
         except (SemigroupError, ValueError):
             pass
+
+
+def loaded(loads, text):
+    """What loads(text) gives: its table and sandwich, or its exception
+    type and message."""
+    try:
+        out = loads(text)
+    except (SemigroupError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, sk.FiniteSemigroup):
+        return out.table.tolist()
+    return out.realized.table.tolist(), np.asarray(out.sandwich).tolist()
+
+
+def assert_loads_like_per_line_parser(text):
+    for loads in (sk.loads_sg, loads_rms):
+        with mock.patch.object(core, "_int_rows", int_rows_oracle), mock.patch.object(
+            simple, "_int_rows", int_rows_oracle
+        ):
+            expected = loaded(loads, text)
+        assert loaded(loads, text) == expected
+
+
+@given(near_documents())
+@example("1\n" + str(2**70))
+@example("1\n٠")
+@example("2\n0 1 # c\n0 1\n")
+@example("i_size 1\nlambda_size 1\ngroup\n1\nǾ\nsandwich\n0")
+@settings(max_examples=300, deadline=None)
+def test_text_loaders_match_per_line_parser(text):
+    assert_loads_like_per_line_parser(text)
+
+
+_TOKENS = st.sampled_from(["0", "1", "2", "-1", "+1", "1_0", "#"]) | st.text(max_size=3)
+
+
+@st.composite
+def rows_of_text(draw):
+    """An order n from 1 to 3 and n lines of up to n + 1 tokens, each a
+    near-integer or any short Unicode text."""
+    n = draw(st.integers(1, 3))
+    line = st.lists(_TOKENS, max_size=n + 1).map(" ".join)
+    return n, draw(st.lists(line, min_size=n, max_size=n))
+
+
+@given(rows_of_text())
+@settings(max_examples=400, deadline=None)
+def test_sg_rows_of_any_text_match_per_line_parser(doc):
+    # any Unicode: np.loadtxt misreads many non-ASCII letters as digits
+    n, lines = doc
+    assert_loads_like_per_line_parser("\n".join([str(n), *lines]))
+    group = "\n".join(["i_size 1", "lambda_size 1", "group", str(n), *lines, "sandwich", "0"])
+    assert_loads_like_per_line_parser(group)
