@@ -8,7 +8,7 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -226,6 +226,8 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
     each map f found in the previous round, f∘g over every map g known at
     the start of the round, then g∘f.  The maps are the rows of one array,
     told apart and looked up by a lexicographic sort of rows at any degree.
+    That sort, one per block of products, also gives each product its id,
+    and the table is filled from those ids without multiplying again.
     Overflow comes before anything is generated when ``max_order()`` maps of
     this degree would outgrow ``_MAPS_BUDGET`` bytes.
     """
@@ -239,34 +241,37 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
         raise Overflow(f"{cap} maps of degree {degree} exceed the closure's map budget")
     rng = SplitMix64(seed)
     maps = np.empty((0, degree), dtype=dtype)
+    id_type = np.min_scalar_type(cap - 1)
+    strips = []  # per block at a: ids of f∘g for g < hi, of g∘f for g < lo; each pair once
 
-    def grow(rows: np.ndarray) -> None:
-        """Append the rows not yet known, in order of first occurrence."""
+    def grow(rows: np.ndarray) -> np.ndarray:
+        """Append the rows not yet known, in order of first occurrence; return each row's id."""
         nonlocal maps
         k = len(maps)
-        first = _first_equal(np.concatenate((maps, rows)))[k:]
-        fresh = np.flatnonzero(first == np.arange(k, k + len(rows)))
-        if k + len(fresh) > cap:
+        first = _first_equal(np.concatenate((maps, rows)))  # known maps sort first
+        fresh = first[k:] == np.arange(k, k + len(rows))
+        if k + np.count_nonzero(fresh) > cap:
             raise Overflow(f"transformation closure exceeds max order {cap}")
         maps = np.concatenate((maps, rows[fresh]))
+        return np.concatenate((np.arange(k), k - 1 + np.cumsum(fresh)))[first[k:]]
 
     grow(np.array([[rng.below(degree) for _ in range(degree)] for _ in range(n_maps)], dtype))
     lo = 0
     while lo < len(maps):
-        known, hi = maps, len(maps)
+        known, hi = maps, len(maps)  # known stays the round's snapshot as maps grows
         step = max(1, _BLOCK // (2 * hi * degree))
         for a in range(lo, hi, step):
             f = known[a : a + step]
             # per frontier map: f∘g over all g, then g∘f over all g
-            grow(np.stack((f[:, known], known[:, f].swapaxes(0, 1)), axis=1).reshape(-1, degree))
+            ids = grow(np.stack((f[:, known], known[:, f].swapaxes(0, 1)), axis=1).reshape(-1, degree))
+            ids = ids.reshape(len(f), 2, hi)
+            strips.append((a, ids[:, 0].astype(id_type), ids[:, 1, :lo].astype(id_type)))
         lo = hi
     n = len(maps)
     table = np.empty((n, n), dtype=np.int64)
-    step = max(1, _BLOCK // (n * degree))
-    for a in range(0, n, step):
-        prods = maps[a : a + step][:, maps].reshape(-1, degree)
-        # maps sort before their equal products, and the maps are distinct
-        table[a : a + step] = _first_equal(np.concatenate((maps, prods)))[n:].reshape(-1, n)
+    for a, fg, gf in strips:
+        table[a : a + len(fg), : fg.shape[1]] = fg
+        table[: gf.shape[1], a : a + len(fg)] = gf.T
     return FiniteSemigroup(table, name=f"T({degree},{n_maps},{seed})", validate=False)
 
 
@@ -411,7 +416,7 @@ class CheckResult:
     witness: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"semigroup": self.semigroup, "check": self.check, "status": self.status, "witness": self.witness}
 
 
 @dataclass(frozen=True)

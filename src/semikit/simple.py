@@ -23,6 +23,7 @@ from .core import (
     from_table,
     is_group,
     is_monoid,
+    max_order,
     subsemigroup_table,
 )
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     NotAGroup,
     NotCompletelySimple,
     NotIdempotent,
+    Overflow,
     SearchCapExceeded,
 )
 from .greens import _ideal_rows, greens_structure
@@ -345,12 +347,15 @@ def loads_rms(text: str) -> ReesMatrixSemigroup:
     group_rows = rows[4 : 4 + ng]
     if len(group_rows) != ng:
         raise ValueError(f"expected {ng} group table rows, found {len(group_rows)}")
-    group = from_table(ng, _int_rows(group_rows, ng, "group table"))
     rest = rows[4 + ng :]
     if not rest or rest[0] != "sandwich":
         raise ValueError("expected 'sandwich' section")
     if len(rest) - 1 != lambda_size:
         raise ValueError(f"expected {lambda_size} sandwich rows, found {len(rest) - 1}")
+    for order in (ng, i_size * ng * lambda_size):  # refused at the cap before any row is parsed
+        if order > max_order():
+            raise Overflow(f"order {order} exceeds configured maximum {max_order()}")
+    group = from_table(ng, _int_rows(group_rows, ng, "group table"))
     sandwich = _int_rows(rest[1:], i_size, "sandwich")
     return rees_construct(i_size, lambda_size, group, sandwich)
 

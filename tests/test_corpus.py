@@ -151,6 +151,17 @@ def test_transformation_closure_matches_oracle(params, seed):
     )
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_transformation_closure_small_blocks_match_oracle(monkeypatch, seed):
+    # 64 entries per block: one round spans many product blocks, each of
+    # which fills its frontier maps' table strips from its own ids
+    monkeypatch.setattr(corpus_mod, "_BLOCK", 64)
+    args = (4, 3, seed, 4096)
+    assert closure_outcome(gen_transformation_closure, *args) == closure_outcome(
+        transformation_closure_oracle, *args
+    )
+
+
 @given(params=closure_params, seed=seeds, cap=st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
 def test_transformation_closure_overflows_like_oracle(params, seed, cap):

@@ -350,3 +350,18 @@ def test_rms_roundtrip_bit_exact(tmp_path):
 def test_loads_rms_rejects_malformed(text):
     with pytest.raises(ValueError):
         loads_rms(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "i_size 1\nlambda_size 1\ngroup\n838\n" + "x\n" * 838 + "sandwich\n0\n",  # group over the cap
+        "i_size 3\nlambda_size 3\ngroup\n2\n0 1\n1 0\nsandwich\n0 0 0\n0 x 0\n0 0 0\n",  # 3*2*3 = 18
+    ],
+    ids=["group-838", "realized-18"],
+)
+def test_loads_rms_refuses_declared_order_before_parsing_rows(text, monkeypatch):
+    # the rows would fail to parse; the declared order is refused first
+    monkeypatch.setenv("SEMIKIT_MAX_ORDER", "4")
+    with pytest.raises(Overflow, match="exceeds configured maximum 4"):
+        loads_rms(text)
