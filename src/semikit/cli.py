@@ -286,10 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SemigroupError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, ValueError) as exc:
+    except (SemigroupError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

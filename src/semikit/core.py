@@ -247,14 +247,6 @@ class SemigroupMorphism:
             inner.source, self.target, tuple(self.map[v] for v in inner.map)
         )
 
-    def inverse(self) -> "SemigroupMorphism":
-        if not self.is_isomorphism:
-            raise ValueError("only isomorphisms invert")
-        inv = [0] * self.target.order
-        for a, b in enumerate(self.map):
-            inv[b] = a
-        return SemigroupMorphism(self.target, self.source, tuple(inv))
-
 
 # ---------------------------------------------------------------------------
 # construction operations

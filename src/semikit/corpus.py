@@ -63,9 +63,9 @@ from .simple import (
 
 CENSUS_LIMIT = 5
 RNG_ALGORITHM = "splitmix64"
-SWELLING_EXHAUSTIVE_LIMIT = 5
-# The checks that walk every subsemigroup skip larger semigroups.  The walk
-# costs per subsemigroup, and a left-zero band of order n has 2^n - 1 of them:
+# The checks that walk every subsemigroup, or every nonempty subset as the
+# Swelling Lemma does, skip larger semigroups.  The walk costs per
+# subsemigroup, and a left-zero band of order n has 2^n - 1 of them:
 # verify_suite takes about 2.5 s on L12, 12 s on L14 and 61 s on L16.
 SUBSEMIGROUP_CHECK_LIMIT = 12
 SKIP = object()  # what a check returns when it checked nothing
@@ -144,8 +144,8 @@ def _t2() -> FiniteSemigroup:
 
 
 def _paper_band() -> FiniteSemigroup:
-    # {0,1} x {x,y} with (a,b)*(c,d) = (a*c, b); element (a,b) at index a*2+b?
-    # Matches the pinned rows: (a,b) at index 2a+b with product (ac, b).
+    # the semilattice ({0,1}, *) times the left-zero band on {x,y}:
+    # (a,b)*(c,d) = (a*c, b), with (a,b) at index 2a+b (b = 0 for x, 1 for y)
     table = [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 2, 2], [1, 1, 3, 3]]
     return from_table(4, table, name="PB")
 
@@ -508,7 +508,7 @@ def _check_subsemigroups_of_groups(S):
 
 
 def _check_swelling(S):
-    if S.order > SWELLING_EXHAUSTIVE_LIMIT:
+    if S.order > SUBSEMIGROUP_CHECK_LIMIT:
         return SKIP
     held, equal = _swelling_verdicts(S)
     bad = held & ~equal
@@ -548,7 +548,14 @@ def _check_kernel_rees_roundtrip(S):
         return "kernel not completely simple"
     if not idempotent_poset(sub).primitives:
         return "kernel has no primitive idempotent"
-    rees_decompose(sub)  # raises unless phi is an isomorphism
+    dec = rees_decompose(sub)
+    if not dec.phi.is_homomorphism:
+        return "phi is not a homomorphism"
+    phi, psi = np.asarray(dec.phi.map), np.asarray(dec.psi.map)
+    for there, back, law in ((psi, phi, "phi(psi(s)) != s at s"), (phi, psi, "psi(phi(x)) != x at x")):
+        bad = np.flatnonzero(back[there] != np.arange(len(there)))
+        if len(bad):
+            return f"{law}={bad[0]}"
 
 
 def _check_green_restriction(S):

@@ -117,9 +117,9 @@ class ReesDecomposition:
     group_elements: tuple[int, ...]  # members of H_e as source indices
     rms: ReesMatrixSemigroup
     phi: SemigroupMorphism  # realized -> source, (i,g,lam) -> i*g*lam
-    psi: SemigroupMorphism  # source -> realized, the exact inverse of phi
+    psi: SemigroupMorphism  # source -> realized, s -> (s(ese)^-1, ese, (ese)^-1 s)
     closed_form_agreement: tuple[bool, ...]  # per source element, whether the
-    # printed closed-form inverse (s(ses)^-1, ses, (ese)^-1 s) matches psi
+    # printed form (s(ses)^-1, ses, (ese)^-1 s) matches psi; true only at s = e
 
 
 def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposition:
@@ -135,7 +135,9 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
     se, es = (np.flatnonzero(rows[e]) for rows in _ideal_rows(S))  # Se = S^1 e, as e = ee
     i_arr = se[is_idem[se]]
     lam_arr = es[is_idem[es]]
-    g_arr = np.unique(T[T[e, :], e])  # eSe = H_e
+    s = np.arange(S.order)
+    ese, ses = T[T[e, :], e], T[T[:, e], s]
+    g_arr = np.unique(ese)  # eSe = H_e
     group, _ = subsemigroup_table(S, g_arr)
     gpos = _positions(S.order, g_arr)
     # an entry outside H_e stays -1 and is refused as a BadSandwichEntry
@@ -144,8 +146,21 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
     # (i, g, lam) -> i*g*lam, laid out in the realized index order
     phi_map = T[T[i_arr[:, None], g_arr][:, :, None], lam_arr].ravel()
     phi = SemigroupMorphism(rms.realized, S, tuple(phi_map))
-    psi = phi.inverse()  # refuses a map that is not an isomorphism
-    agreement = _closed_form_agreement(S, e, rms, gpos, i_arr, lam_arr, g_arr, psi)
+    inv = g_arr[_group_inverses(group)]  # inv[k]: the inverse of g_arr[k] in H_e
+    i_pos = _positions(S.order, i_arr)
+    lam = _positions(S.order, lam_arr)[T[inv[gpos[ese]], s]]
+
+    def form(middle: np.ndarray) -> np.ndarray:
+        """Realized index of (s m^-1, m, (ese)^-1 s) at each s, m = middle[s];
+        -1 where a component lies outside its coordinate set."""
+        g = gpos[middle]
+        i = i_pos[T[s, inv[g]]]  # g = -1 reads a wrapped entry, masked below
+        ok = (g >= 0) & (i >= 0) & (lam >= 0)
+        return np.where(ok, (i * g_arr.size + g) * lam_arr.size + lam, -1)
+
+    psi_map = form(ese)
+    psi = SemigroupMorphism(S, rms.realized, tuple(psi_map))  # refuses a -1 as OutOfRange
+    agreement = tuple((form(ses) == psi_map).tolist())
     i_elements, lambda_elements, group_elements = (
         tuple(a.tolist()) for a in (i_arr, lam_arr, g_arr)
     )
@@ -157,26 +172,6 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
 def _group_inverses(G: FiniteSemigroup) -> np.ndarray:
     """inv[g] for every element g of the group G."""
     return np.argmax(G.table == is_monoid(G), axis=1)
-
-
-def _closed_form_agreement(S, e, rms, gpos, i_arr, lam_arr, g_arr, psi) -> tuple[bool, ...]:
-    """Per element s, whether the candidate closed form
-    s -> (s(ses)^-1, ses, (ese)^-1 s), with inverses taken inside H_e,
-    equals psi(s); a component outside its coordinate set disagrees."""
-    T = S.table
-    n = S.order
-    s = np.arange(n)
-    ses = T[T[:, e], s]
-    ese = T[T[e, :], e]
-    inv = _group_inverses(rms.group)
-    # a -1 position reads a wrapped entry; ok masks it out
-    inv_ses = g_arr[inv[gpos[ses]]]
-    inv_ese = g_arr[inv[gpos[ese]]]
-    i = _positions(n, i_arr)[T[s, inv_ses]]
-    lam = _positions(n, lam_arr)[T[inv_ese, s]]
-    ok = (gpos[ses] >= 0) & (gpos[ese] >= 0) & (i >= 0) & (lam >= 0)
-    closed = (i * rms.group.order + gpos[ses]) * rms.lambda_size + lam
-    return tuple(bool(x) for x in ok & (closed == np.asarray(psi.map)))
 
 
 class SubsemigroupDecomposition(NamedTuple):

@@ -25,6 +25,7 @@ from semikit.corpus import (
 )
 from semikit.core import max_order
 from semikit.ideals import _minimal_ideal_table
+from semikit.simple import normalize_sandwich
 from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
 
 
@@ -433,7 +434,7 @@ def test_verify_suite_skips_subsemigroup_walks_above_limit(monkeypatch):
     assert 12 <= corpus_mod.SUBSEMIGROUP_CHECK_LIMIT < 100
     report = verify_suite([sk.gen_standard("rect_band", 3, 4)])
     assert 12 in walked
-    assert report.summary == {"pass": 13, "skip": 1, "fail": 0}  # swelling above order 5
+    assert report.summary == {"pass": 14, "fail": 0}  # the Swelling Lemma included
     walked.clear()
     start = time.perf_counter()
     report = verify_suite([sk.gen_standard("rect_band", 10, 10)])
@@ -574,9 +575,9 @@ def test_verify_reports_kernel_not_minimal(monkeypatch, t2):
 
 @pytest.mark.parametrize("name", ["subsemigroup_decompose", "rees_decompose"])
 def test_verify_records_value_error_without_aborting(monkeypatch, rb22, name):
-    # phi.inverse() refuses a map that is not an isomorphism with ValueError
+    # a ValueError raised inside a check becomes that check's failure witness
     def broken(*args):
-        raise ValueError("only isomorphisms invert")
+        raise ValueError("bad decomposition")
 
     monkeypatch.setattr(corpus_mod, name, broken)
     report = verify_suite([("rb22", rb22)])
@@ -586,4 +587,51 @@ def test_verify_records_value_error_without_aborting(monkeypatch, rb22, name):
     if name == "rees_decompose":
         expected.add("kernel_rees_roundtrip")
     assert set(failed) == expected
-    assert set(failed.values()) == {"only isomorphisms invert"}
+    assert set(failed.values()) == {"bad decomposition"}
+
+
+def psi_swapped_at_0_1(S, *args):
+    """rees_decompose with psi(0) and psi(1) exchanged."""
+    dec = sk.rees_decompose(S, *args)
+    psi = list(dec.psi.map)
+    psi[0], psi[1] = psi[1], psi[0]
+    return dataclasses.replace(dec, psi=sk.SemigroupMorphism(S, dec.rms.realized, tuple(psi)))
+
+
+def phi_psi_conjugated_by_0_3(S, *args):
+    """rees_decompose with realized elements 0 and 3 exchanged in phi and
+    psi: still mutually inverse, but on RB(2,2) phi is no homomorphism."""
+    dec = sk.rees_decompose(S, *args)
+    tau = [3, 1, 2, 0]
+    phi = tuple(dec.phi.map[t] for t in tau)
+    psi = tuple(tau[x] for x in dec.psi.map)
+    return dataclasses.replace(
+        dec,
+        phi=sk.SemigroupMorphism(dec.rms.realized, S, phi),
+        psi=sk.SemigroupMorphism(S, dec.rms.realized, psi),
+    )
+
+
+@pytest.mark.parametrize(
+    "broken, witness",
+    [
+        (psi_swapped_at_0_1, "phi(psi(s)) != s at s=0"),
+        (phi_psi_conjugated_by_0_3, "phi is not a homomorphism"),
+    ],
+    ids=["psi_swapped", "phi_not_homomorphism"],
+)
+def test_verify_reports_wrong_rees_roundtrip(monkeypatch, rb22, broken, witness):
+    # rees_decompose does not re-test its maps; the round-trip check does
+    monkeypatch.setattr(corpus_mod, "rees_decompose", broken)
+    report = verify_suite([("rb22", rb22)])
+    assert {e.check: e.witness for e in report.failures} == {"kernel_rees_roundtrip": witness}
+
+
+@pytest.mark.parametrize("i_size, lambda_size, seed", [(2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 3)])
+def test_verify_suite_non_identity_sandwich(i_size, lambda_size, seed):
+    # a normalised sandwich matrix other than all-identity: the Rees
+    # checks see a group component that P actually twists
+    rms = gen_random_rees(i_size, lambda_size, "z2", seed)
+    assert (normalize_sandwich(rms) != sk.is_monoid(rms.group)).any()
+    report = verify_suite([rms.realized])
+    assert report.summary == {"pass": 14, "fail": 0}

@@ -147,6 +147,37 @@ def test_rees_roundtrip_identities(z3, rb22):
         assert [dec.psi(dec.phi(x)) for x in range(n)] == list(range(n))
 
 
+def closed_form_oracle(S, dec):
+    """psi read element by element off s -> (s(ese)^-1, ese, (ese)^-1 s),
+    with the inverse taken in H_e."""
+    T, e = S.table, dec.e
+    I, G, L = dec.i_elements, dec.group_elements, dec.lambda_elements
+    psi = []
+    for s in range(S.order):
+        ese = int(T[T[e, s], e])
+        [inv] = [h for h in G if T[ese, h] == e]
+        i, lam = int(T[s, inv]), int(T[inv, s])
+        psi.append((I.index(i) * len(G) + G.index(ese)) * len(L) + L.index(lam))
+    return psi
+
+
+def test_psi_is_the_closed_form_and_the_printed_form_agrees_only_at_e(census5):
+    grid = [
+        gen_random_rees(i, lam, group, seed).realized
+        for group in ("z2", "z3", "z2xz2", "s3")
+        for i in (1, 2, 3)
+        for lam in (1, 2)
+        for seed in (0, 1)
+    ]
+    instances = [S for S in census5 if sk.is_completely_simple(S)] + grid
+    for S in instances:
+        for e in sk.idempotents(S):
+            dec = sk.rees_decompose(S, e)
+            assert list(dec.psi.map) == closed_form_oracle(S, dec)
+            # the printed (s(ses)^-1, ses, (ese)^-1 s) is psi only at s = e
+            assert [s for s, ok in enumerate(dec.closed_form_agreement) if ok] == [e]
+
+
 def test_decomposition_reported_sizes(rb22):
     dec = sk.rees_decompose(rb22)
     E = set(sk.idempotents(rb22).members)
