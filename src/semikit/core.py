@@ -455,12 +455,17 @@ def subsemigroup_table(S: FiniteSemigroup, members: Sequence[int]):
 # .sg text format
 
 
+def _decimal_rows(S: FiniteSemigroup, sep: str):
+    """Each table row as its entries' decimal labels joined by sep: the n
+    labels are built once and gathered through the table a row at a time."""
+    labels = np.array([str(x) for x in range(S.order)], dtype=object)
+    return (sep.join(labels[row].tolist()) for row in S.table)
+
+
 def dumps_sg(S: FiniteSemigroup) -> str:
     """Cayley-table text: one '#' header, then n, then n rows of n entries."""
     header = S.name if S.name else f"semigroup of order {S.order}"
-    labels = np.array([str(x) for x in range(S.order)], dtype=object)
-    rows = map(" ".join, labels[S.table].tolist())  # decimal labels gathered once
-    return "\n".join([f"# {header}", str(S.order), *rows]) + "\n"
+    return "\n".join([f"# {header}", str(S.order), *_decimal_rows(S, " ")]) + "\n"
 
 
 def _int_rows(lines: Sequence[str], width: int, what: str):

@@ -18,6 +18,7 @@ from .core import (
     _MAPS_BUDGET,
     FiniteSemigroup,
     _check_order,
+    _decimal_rows,
     direct_product,
     from_table,
     idempotents,
@@ -42,7 +43,6 @@ from .greens import (
     is_stable,
 )
 from .ideals import (
-    IDEAL_ENUM_LIMIT,
     _minimal_ideal_table,
     _swelling_verdicts,
     enumerate_ideals,
@@ -64,9 +64,10 @@ from .simple import (
 CENSUS_LIMIT = 5
 RNG_ALGORITHM = "splitmix64"
 # The checks that walk every subsemigroup, or every nonempty subset as the
-# Swelling Lemma does, skip larger semigroups.  The walk costs per
-# subsemigroup, and a left-zero band of order n has 2^n - 1 of them:
-# verify_suite takes about 2.5 s on L12, 12 s on L14 and 61 s on L16.
+# Swelling Lemma and the kernel's ideal-containment walk do, skip larger
+# semigroups.  The walk costs per subsemigroup, and a left-zero band of
+# order n has 2^n - 1 of them: verify_suite takes about 2.5 s on L12, 12 s
+# on L14 and 61 s on L16.
 SUBSEMIGROUP_CHECK_LIMIT = 12
 SKIP = object()  # what a check returns when it checked nothing
 
@@ -374,7 +375,7 @@ def fingerprint(semigroups: Iterable[FiniteSemigroup]) -> str:
     for S in semigroups:
         h.update(str(S.order).encode())
         h.update(b":")
-        h.update(",".join(str(int(v)) for v in S.table.ravel()).encode())
+        h.update(",".join(_decimal_rows(S, ",")).encode())
         h.update(b";")
     return h.hexdigest()
 
@@ -457,9 +458,8 @@ def _check_idempotent_existence(S):
 def _check_kernel(S):
     report = kernel(S)
     K = report.kernel.members
-    every = np.arange(S.order)
     # row i: the ideal S^1 x S^1 that x = K[i] generates
-    smaller = (_two_sided_rows(_ideal_rows(S), list(K), every) != np.isin(every, K)).any(axis=1)
+    smaller = (_two_sided_rows(_ideal_rows(S), list(K)) != np.isin(np.arange(S.order), K)).any(axis=1)
     if smaller.any():
         return f"kernel not minimal: {K[int(smaller.argmax())]} generates a smaller ideal"
     if not report.idempotents:
@@ -471,7 +471,7 @@ def _check_kernel(S):
         members = [x for h in part for x in h.members]
         if sorted(members) != list(K):
             return f"minimal {side} ideals do not partition K"
-    if S.order <= IDEAL_ENUM_LIMIT:
+    if S.order <= SUBSEMIGROUP_CHECK_LIMIT:
         for ideal in enumerate_ideals(S):
             if not set(K) <= set(ideal):
                 return f"ideal {ideal} does not contain K"
@@ -520,8 +520,7 @@ def _check_swelling(S):
 
 def _check_d_composition(S):
     G = greens_structure(S)
-    every = np.arange(S.order)
-    j = _labels(_two_sided_rows(_ideal_rows(S), every, every))  # by principal ideal S^1 x S^1
+    j = _labels(_two_sided_rows(_ideal_rows(S), np.arange(S.order)))  # by principal ideal S^1 x S^1
     if not np.array_equal(G.d_class, j):
         return "D != J"
     # every egg-box cell nonempty <=> D = RL = LR inside each D-class

@@ -21,8 +21,8 @@ class PrincipalIdeals(NamedTuple):
 def principal_ideals(S: FiniteSemigroup, s: int) -> PrincipalIdeals:
     """The three principal ideals S^1 s, s S^1 and S^1 s S^1."""
     _check_element(S, s)
-    left, right = _ideal_rows(S)
-    rows = (left[s], right[s], left[right[s]].any(axis=0))  # S^1 s S^1: S^1 y over y in s S^1
+    left, right = pair = _ideal_rows(S)
+    rows = (left[s], right[s], _two_sided_rows(pair, [s])[0])
     return PrincipalIdeals(*(SubsetHandle(S, tuple(np.flatnonzero(row).tolist())) for row in rows))
 
 
@@ -39,10 +39,11 @@ def _ideal_rows(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _two_sided_rows(pair, rows, cols) -> np.ndarray:
-    """out[i, k]: cols[k] lies in S^1 x S^1 for x = rows[i], read off the
-    pair of _ideal_rows.  S^1 x S^1 is the union of S^1 y over y in x S^1:
-    one float32 product of membership rows, exact below order 2**24."""
+def _two_sided_rows(pair, rows, cols=slice(None)) -> np.ndarray:
+    """out[i, k]: cols[k] (every element by default) lies in S^1 x S^1 for
+    x = rows[i], read off the pair of _ideal_rows.  The only computation of
+    principal two-sided ideals: S^1 x S^1 is the union of S^1 y over y in
+    x S^1, one float32 product of membership rows, exact below order 2**24."""
     left, right = pair
     return right[rows].astype(np.float32) @ left[:, cols].astype(np.float32) > 0
 

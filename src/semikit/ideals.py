@@ -23,10 +23,7 @@ from .errors import (
     NotIdempotent,
     SearchCapExceeded,
 )
-from .greens import _ideal_rows
-
-# Full ideal enumeration walks 2^n subsets.
-IDEAL_ENUM_LIMIT = 6
+from .greens import _ideal_rows, _two_sided_rows
 
 
 def _is_ideal(rows: np.ndarray, members) -> bool:
@@ -81,11 +78,12 @@ def minimal_ideal_equivalences(S: FiniteSemigroup, e: int) -> MinimalIdealVerdic
 def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For the idempotents E: the membership rows of Se and eS, and the
     len(E)×4 bool table of minimal_ideal_equivalences at each e, every
-    statement decided on its own from the principal one-sided ideals.  E is
-    taken in slices, so that no gather exceeds _BLOCK entries."""
-    T, n = S.table, S.order
+    statement decided on its own from the kept principal-ideal pair: SeS is
+    S^1 e S^1, read through _two_sided_rows like every principal two-sided
+    ideal.  E is taken in slices of _BLOCK // n idempotents."""
+    n = S.order
     E = np.asarray(E, dtype=np.int64)
-    left, right = _ideal_rows(S)  # row x: S^1 x, x S^1
+    left, right = pair = _ideal_rows(S)  # row x: S^1 x, x S^1
     se, es = left[E], right[E]
     in_kernel = np.isin(np.arange(n), kernel_members(S))
     table = np.empty((len(E), 4), dtype=bool)
@@ -98,11 +96,7 @@ def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray,
         # eSe = eS ∩ Se is a group iff e is in uS^1 and S^1 u for each u in it:
         # from e = ut, u·ete = e with ete in eSe (a left inverse dually)
         t[:, 1] = ~(sl & sr & ~(back_l & back_r)).any(axis=1)
-        ses = np.zeros_like(sl)  # SeS: the union of the rows xS over x in Se
-        i, x = np.nonzero(sl)
-        for b in range(0, len(i), step):
-            ses[i[b : b + step, None], T[x[b : b + step]]] = True
-        t[:, 3] = (ses == in_kernel).all(axis=1)
+        t[:, 3] = (_two_sided_rows(pair, e) == in_kernel).all(axis=1)  # SeS = S^1 e S^1, as e = eee
     return se, es, table
 
 
@@ -110,11 +104,10 @@ def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray,
 def kernel_members(S: FiniteSemigroup) -> tuple[int, ...]:
     """The unique minimal ideal K = S^1 z S^1, once per semigroup: z, the
     product of all elements, lies in every principal ideal, hence in K."""
-    T, (left, right) = S.table, _ideal_rows(S)
-    z = 0
+    T, z = S.table, 0
     for x in range(1, S.order):
         z = T[z, x]
-    return tuple(np.flatnonzero(left[right[z]].any(axis=0)).tolist())  # S^1 y over y in z S^1
+    return tuple(np.flatnonzero(_two_sided_rows(_ideal_rows(S), [z])[0]).tolist())
 
 
 @dataclass(frozen=True)
@@ -157,12 +150,11 @@ def _distinct_members(rows: np.ndarray) -> list[tuple[int, ...]]:
 
 def enumerate_ideals(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     """All nonempty two-sided ideals in ascending bitmask order: the subsets
-    A that hold aS ∪ Sa for every a in A (order-capped)."""
+    A that hold aS ∪ Sa for every a in A.  One row per subset, so refused
+    above _BLOCK rows, from order 20."""
     n = S.order
-    if n > IDEAL_ENUM_LIMIT:
-        raise SearchCapExceeded(
-            f"ideal enumeration capped at order {IDEAL_ENUM_LIMIT} (2^n subsets)"
-        )
+    if 1 << n > _BLOCK:
+        raise SearchCapExceeded(f"ideal enumeration at order {n} walks 2^{n} subsets, above {_BLOCK}")
     bit = np.int64(1) << np.arange(n)
     reach = np.bitwise_or.reduce(bit[S.table] | bit[S.table.T], axis=1)  # aS ∪ Sa
     subsets = np.arange(1, 1 << n)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from semikit.corpus import (
     verify_suite,
 )
 from semikit.core import max_order
-from semikit.ideals import _minimal_ideal_table
+from semikit.ideals import _minimal_ideal_table, kernel
 from semikit.simple import normalize_sandwich
 from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
 
@@ -320,6 +321,20 @@ def test_census_deterministic_fingerprint():
     assert fingerprint(census(3)) == fingerprint(census(3))
 
 
+def fingerprint_oracle(semigroups):
+    """SHA-256 over "n:" and the comma-joined entries of each table, ";"."""
+    h = hashlib.sha256()
+    for S in semigroups:
+        h.update(f"{S.order}:{','.join(str(int(v)) for v in S.table.ravel())};".encode())
+    return h.hexdigest()
+
+
+def test_fingerprint_matches_per_entry_encoding(census4, seeded_closures):
+    assert fingerprint(census4) == fingerprint_oracle(census4)
+    assert fingerprint(census4).startswith("f4b1549c")
+    assert fingerprint(seeded_closures) == fingerprint_oracle(seeded_closures)
+
+
 def test_canonical_form_idempotent(t2, pb):
     for S in (t2, pb):
         c = canonical_form(S)
@@ -445,6 +460,21 @@ def test_verify_suite_skips_subsemigroup_walks_above_limit(monkeypatch):
     assert skipped == {"regular_green_restriction", "subsemigroup_classification", "swelling_implication"}
     assert report.summary == {"pass": 11, "fail": 0, "skip": 3}
     assert all(e.witness is None for e in report.entries)
+
+
+def test_verify_suite_order2048_chain():
+    # the chain semilattice min(i, j): every element is an idempotent, and
+    # only Se = {0} is a minimal left ideal, so only row 0 of the
+    # minimal-ideal table is all True; the walks skip above order 12.
+    # Built unvalidated: every element is a generator, so Light's test on
+    # load would take minutes at this order
+    i = np.arange(2048)
+    S = sk.FiniteSemigroup(np.minimum.outer(i, i), validate=False)
+    table = _minimal_ideal_table(S, i)[2]
+    assert table[0].all() and not table[1:].any()
+    report = kernel(S)
+    assert (report.kernel.members, report.idempotents) == ((0,), (0,))
+    assert verify_suite([S]).summary == {"pass": 12, "fail": 0, "skip": 2}
 
 
 def test_verify_summary_counts_skip_only_when_nonzero(z3):

@@ -200,8 +200,10 @@ def test_minimal_one_sided_ideal_rejects_out_of_range(t2, members):
 
 
 def test_enumerate_ideals_cap():
+    # one row per subset: refused once 2^n rows pass _BLOCK, from order 20
+    assert enumerate_ideals(sk.gen_standard("cyclic", 7)) == [tuple(range(7))]
     with pytest.raises(SearchCapExceeded):
-        enumerate_ideals(sk.gen_standard("cyclic", 7))
+        enumerate_ideals(sk.gen_standard("cyclic", 20))
 
 
 def test_minimal_left_ideals_have_stated_form(t2, pb):
