@@ -45,6 +45,12 @@ def max_order() -> int:
     return value
 
 
+def _is_index_dtype(dtype) -> bool:
+    """Not a float, which would truncate to an index, nor a Python int past
+    int64, which arrives as uint64 (wrapping when cast) or object."""
+    return dtype.kind in "iu" and dtype != np.uint64
+
+
 def _check_order(n: int) -> int:
     """Refuse an order below 1 or above the cap; returns n.  Builders call
     it before allocating a table of that order."""
@@ -66,20 +72,24 @@ class FiniteSemigroup:
     __slots__ = ("order", "table", "name", "__dict__")
 
     def __init__(self, table, name: Optional[str] = None, validate: bool = True):
-        arr = np.ascontiguousarray(table, dtype=np.int64)
+        arr = np.asarray(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"table must be square, got shape {arr.shape}")
         n = _check_order(arr.shape[0])
         if validate:
+            if not _is_index_dtype(arr.dtype):
+                raise OutOfRange(f"table entries must lie in [0,{n})")
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 bad = np.argwhere((arr < 0) | (arr >= n))[0]
                 raise OutOfRange(
                     f"entry at ({bad[0]},{bad[1]}) = {arr[bad[0], bad[1]]} "
                     f"not in [0,{n})"
                 )
-            witness = associativity_witness(arr)
+            # in range, so the narrow copy is exact; the test only gathers
+            witness = associativity_witness(arr.astype(np.min_scalar_type(n - 1)))
             if witness is not None:
                 raise NotAssociative(witness)
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
         arr.setflags(write=False)
         self.order = n
         self.table = arr
@@ -126,8 +136,10 @@ def associativity_witness(table: np.ndarray):
     Light's test: (a*g)*c == a*(g*c) for every a and c and every g in a
     generating set, blockwise over a.  Up to DIRECT_CHECK_LIMIT the set is
     every element, so the triple is the lexicographically first violation;
-    above it the set is the greedy generating set, and the triple is the
-    least (a, g, c) with g a generator.
+    above it the set is the greedy generating set (ascending), and the
+    triple is the least (a, g, c) with g a generator.  The cost is
+    O(n^2*|A|) for that set A.  The test only gathers, so any integer dtype
+    holding the entries will do; a narrower one moves fewer bytes.
     """
     n = table.shape[0]
     gens = np.arange(n) if n <= DIRECT_CHECK_LIMIT else np.asarray(_generating_set(table))
@@ -156,16 +168,22 @@ def _cover(table: np.ndarray, gens, mask: np.ndarray, frontier) -> None:
 
 
 def _generating_set(table: np.ndarray) -> list[int]:
-    """Greedy generating set: scan ascending, add elements not yet generated.
+    """Greedy generating set, ascending.  Candidates are tried by how often
+    they occur in the table, fewest first, ties by index: elements outside
+    S^2 (which every generating set holds) come first and products of many
+    pairs last, so the set's size follows the semigroup, not its labelling.
     Adding x covers x and c*x for each covered c, then their right products
     by the generators so far: O(n*|A|) products for the final set A."""
-    covered = np.zeros(table.shape[0], dtype=bool)
+    n = table.shape[0]
+    step = max(1, _BLOCK // n)  # bincount widens each block to intp
+    occurs = sum(np.bincount(table[s : s + step].ravel(), minlength=n) for s in range(0, n, step))
+    covered = np.zeros(n, dtype=bool)
     gens: list[int] = []
-    for x in range(table.shape[0]):
+    for x in np.argsort(occurs, kind="stable").tolist():
         if not covered[x]:
             gens.append(x)
             _cover(table, gens, covered, np.append(table[covered, x], x))
-    return gens
+    return sorted(gens)
 
 
 @dataclass(frozen=True)
@@ -254,10 +272,7 @@ class SemigroupMorphism:
 
 def from_table(n: int, entries, name: Optional[str] = None) -> FiniteSemigroup:
     """Validate an n x n Cayley table and wrap it as a FiniteSemigroup."""
-    try:
-        arr = np.asarray(entries, dtype=np.int64)
-    except OverflowError:
-        raise OutOfRange(f"table entries must lie in [0,{n})") from None
+    arr = np.asarray(entries)
     if arr.shape != (n, n):
         raise ValueError(f"expected shape ({n},{n}), got {arr.shape}")
     return FiniteSemigroup(arr, name=name)

@@ -19,6 +19,7 @@ from .core import (
     _check_order,
     _derived,
     _int_rows,
+    _is_index_dtype,
     _positions,
     from_table,
     is_group,
@@ -79,14 +80,12 @@ def rees_construct(
         raise ValueError("i_size and lambda_size must be positive")
     if not is_group(group):
         raise NotAGroup("Rees matrix semigroups require a group component")
-    try:
-        P = np.asarray(sandwich, dtype=np.int64)
-    except OverflowError:
-        raise BadSandwichEntry(f"sandwich entries must lie in [0,{group.order})") from None
+    P = np.asarray(sandwich)
     if P.shape != (lambda_size, i_size):
         raise ValueError(f"sandwich must be {lambda_size}x{i_size}, got {P.shape}")
-    if P.size and (P.min() < 0 or P.max() >= group.order):
+    if not _is_index_dtype(P.dtype) or P.min() < 0 or P.max() >= group.order:
         raise BadSandwichEntry(f"sandwich entries must lie in [0,{group.order})")
+    P = P.astype(np.int64)
     ng = group.order
     m = _check_order(i_size * ng * lambda_size)
     GT = group.table

@@ -45,6 +45,30 @@ def test_from_table_out_of_range():
         sk.from_table(2, [[0, 1], [2, 1]])
 
 
+def test_from_table_refuses_non_integer_entries():
+    # 0.7 must not be truncated to element 0
+    with pytest.raises(OutOfRange, match=r"table entries must lie in \[0,2\)"):
+        sk.from_table(2, [[0, 0.7], [0, 0]])
+
+
+def test_constructor_refuses_non_integer_entries():
+    # 1.5 must not be truncated to element 1, which would make Z2
+    with pytest.raises(OutOfRange, match=r"table entries must lie in \[0,2\)"):
+        sk.FiniteSemigroup([[0, 1.5], [1, 0]])
+
+
+@pytest.mark.parametrize("n, entry", [(5, 257), (300, 65536 + 299)])
+def test_range_check_precedes_the_narrow_copy(n, entry):
+    # Light's test runs on a uint8 (order 5) or uint16 (order 300) copy, in
+    # which this entry would wrap into range; it is refused first, as itself
+    table = np.zeros((n, n), dtype=np.int64)
+    table[3, 4] = entry
+    for make in (lambda: sk.from_table(n, table), lambda: sk.FiniteSemigroup(table.tolist())):
+        with pytest.raises(OutOfRange) as info:
+            make()
+        assert str(info.value) == f"entry at (3,4) = {entry} not in [0,{n})"
+
+
 def test_from_table_not_associative_with_witness():
     # x*y = 1 constantly except 1*1 = 0: (0*0)*1 = 1*1 = 0 but 0*(0*1) = 0*1 = 1
     bad = [[1, 1], [1, 0]]
@@ -377,23 +401,59 @@ def closure_oracle(table, gens):
 
 
 def generating_set_oracle(table):
-    """The greedy generating set, each closure taken from scratch."""
+    """The greedy generating set, ascending: candidates scanned by how often
+    they occur in the table, fewest first and ties by index, each closure
+    taken from scratch."""
+    occurs = np.zeros(len(table), dtype=np.int64)
+    for v in np.asarray(table).ravel().tolist():
+        occurs[v] += 1
     covered = np.zeros(len(table), dtype=bool)
     gens = []
-    for x in range(len(table)):
+    for x in sorted(range(len(table)), key=lambda x: (occurs[x], x)):
         if not covered[x]:
             gens.append(x)
             covered = closure_oracle(table, gens)
-    return gens
+    return sorted(gens)
+
+
+def relabelled(T, seed):
+    """T with element x renamed p[x], for a seeded permutation p."""
+    p = np.random.default_rng(seed).permutation(len(T))
+    inv = np.argsort(p)
+    return p[T[np.ix_(inv, inv)]]
 
 
 def test_generating_set_matches_oracle(census4):
     # the seed-3 relabelling puts T(6,4,0)'s generators far from the front
     T = gen_transformation_closure(6, 4, 0).table
-    p = np.random.default_rng(3).permutation(len(T))
-    inv = np.argsort(p)
-    for table in [S.table for S in census4] + [p[T[np.ix_(inv, inv)]]]:
+    for table in [S.table for S in census4] + [relabelled(T, 3)]:
         assert _generating_set(table) == generating_set_oracle(table)
+
+
+@pytest.mark.parametrize("maps", [3, 4])
+def test_generating_set_size_does_not_follow_the_labelling(maps):
+    # T(6,3,0) (order 560) and T(6,4,0) (order 838): an ascending scan took
+    # up to 25 and 28 generators over these relabellings, fewest-first 5 and 8
+    T = gen_transformation_closure(6, maps, 0).table
+    assert max(len(_generating_set(relabelled(T, seed))) for seed in range(20)) <= 8
+
+
+def test_witness_above_the_direct_limit_through_from_table():
+    # one-cell perturbations of a relabelled order-560 semigroup: the
+    # witness from the narrow copy is the int64 table's, and a real violation
+    T = relabelled(gen_transformation_closure(6, 3, 0).table, 1)
+    n = len(T)
+    assert n > core.DIRECT_CHECK_LIMIT
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        bad = T.copy()
+        i, j = rng.integers(n, size=2)
+        bad[i, j] = (bad[i, j] + rng.integers(1, n)) % n
+        with pytest.raises(NotAssociative) as info:
+            sk.from_table(n, bad)
+        a, g, c = info.value.witness
+        assert (a, g, c) == associativity_witness(bad)
+        assert bad[bad[a, g], c] != bad[a, bad[g, c]]
 
 
 def test_closure_matches_fixpoint(census4):

@@ -95,6 +95,12 @@ def test_rees_construct_rejects_bad_sandwich(z3):
         sk.rees_construct(1, 1, z3, [[3]])
 
 
+def test_rees_construct_refuses_non_integer_sandwich():
+    # 0.9 must not be stored as P = [[0]]
+    with pytest.raises(BadSandwichEntry):
+        sk.rees_construct(1, 1, sk.gen_standard("cyclic", 2), [[0.9]])
+
+
 def test_rees_construct_rejects_order_above_cap(z3, monkeypatch):
     # refused before the |I||G||Lambda|-square table is allocated
     monkeypatch.setenv("SEMIKIT_MAX_ORDER", "5")
