@@ -51,6 +51,16 @@ def _is_index_dtype(dtype) -> bool:
     return dtype.kind in "iu" and dtype != np.uint64
 
 
+def _indices(values, n: int, message: str) -> list[int]:
+    """values as Python ints, each an integer in [0, n); OutOfRange with
+    message otherwise.  A float is refused, not truncated."""
+    arr = np.asarray(values)
+    out = arr.tolist()
+    if out and (not _is_index_dtype(arr.dtype) or min(out) < 0 or max(out) >= n):
+        raise OutOfRange(message)
+    return out
+
+
 def _check_order(n: int) -> int:
     """Refuse an order below 1 or above the cap; returns n.  Builders call
     it before allocating a table of that order."""
@@ -201,11 +211,9 @@ class SubsetHandle:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted(set(int(m) for m in self.members)))
-        object.__setattr__(self, "members", members)
         n = self.parent.order
-        if members and (members[0] < 0 or members[-1] >= n):
-            raise OutOfRange(f"members must lie in [0,{n})")
+        members = _indices(self.members, n, f"members must lie in [0,{n})")
+        object.__setattr__(self, "members", tuple(sorted(set(members))))
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -230,12 +238,10 @@ class SemigroupMorphism:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(int(x) for x in self.map)
-        object.__setattr__(self, "map", m)
+        m = _indices(self.map, self.target.order, "map entries must be valid target indices")
+        object.__setattr__(self, "map", tuple(m))
         if len(m) != self.source.order:
             raise ValueError("map length must equal source order")
-        if m and (min(m) < 0 or max(m) >= self.target.order):
-            raise OutOfRange("map entries must be valid target indices")
 
     @cached_property
     def is_homomorphism(self) -> bool:
@@ -451,11 +457,9 @@ def subsemigroup_table(S: FiniteSemigroup, members: Sequence[int]):
 
     Returns (T, inclusion) where inclusion maps T's dense indices back to S.
     """
-    mem = sorted(set(int(m) for m in members))
+    mem = sorted(set(_indices(members, S.order, f"members must lie in [0,{S.order})")))
     if not mem:
         raise NotASubsemigroup("empty set cannot be re-tabled")
-    if mem[0] < 0 or mem[-1] >= S.order:
-        raise OutOfRange(f"members must lie in [0,{S.order})")
     idx = np.asarray(mem, dtype=np.int64)
     products = S.table[idx[:, None], idx]
     table = _positions(S.order, idx)[products]

@@ -222,15 +222,21 @@ def _first_equal(rows: np.ndarray) -> np.ndarray:
 def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSemigroup:
     """Close seeded random self-maps of [0, degree) under composition.
 
-    The product of maps f and g is x -> f[g[x]].  Elements are numbered in
-    order of discovery: the distinct generators, then round by round, for
-    each map f found in the previous round, f∘g over every map g known at
-    the start of the round, then g∘f.  The maps are the rows of one array,
-    told apart and looked up by a lexicographic sort of rows at any degree.
-    That sort, one per block of products, also gives each product its id,
-    and the table is filled from those ids without multiplying again.
-    Overflow comes before anything is generated when ``max_order()`` maps of
-    this degree would outgrow ``_MAPS_BUDGET`` bytes.
+    The product of maps f and g is x -> f[g[x]].  The elements are found
+    by a breadth-first search of the right Cayley graph over the distinct
+    generators (Froidure and Pin): blocks of maps f, in order of discovery,
+    times every generator a; the ids of the products f∘a, looked up by a
+    lexicographic sort of rows at any degree, are the graph's edges.  Each
+    element c past the generators is first found as p∘a for an earlier p,
+    so y∘c = (y∘p)∘a fills its column of the table from p's.
+
+    Elements are numbered as the whole-table closure numbers them: the
+    distinct generators, then round by round, for each map f found in the
+    previous round, f∘g over every map g known at the start of the round,
+    then g∘f.  Those rounds are replayed on ids read from the table.
+    Overflow comes once more than ``max_order()`` maps are found, and before
+    anything is generated when ``max_order()`` maps of this degree would
+    outgrow ``_MAPS_BUDGET`` bytes.
     """
     from .core import max_order  # census() has a parameter of that name
 
@@ -242,11 +248,10 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
         raise Overflow(f"{cap} maps of degree {degree} exceed the closure's map budget")
     rng = SplitMix64(seed)
     maps = np.empty((0, degree), dtype=dtype)
-    id_type = np.min_scalar_type(cap - 1)
-    strips = []  # per block at a: ids of f∘g for g < hi, of g∘f for g < lo; each pair once
 
-    def grow(rows: np.ndarray) -> np.ndarray:
-        """Append the rows not yet known, in order of first occurrence; return each row's id."""
+    def grow(rows: np.ndarray):
+        """Append the rows not yet known, in order of first occurrence; return
+        each row's id and the positions of the rows appended."""
         nonlocal maps
         k = len(maps)
         first = _first_equal(np.concatenate((maps, rows)))  # known maps sort first
@@ -254,26 +259,58 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
         if k + np.count_nonzero(fresh) > cap:
             raise Overflow(f"transformation closure exceeds max order {cap}")
         maps = np.concatenate((maps, rows[fresh]))
-        return np.concatenate((np.arange(k), k - 1 + np.cumsum(fresh)))[first[k:]]
+        return np.concatenate((np.arange(k), k - 1 + np.cumsum(fresh)))[first[k:]], np.flatnonzero(fresh)
 
     grow(np.array([[rng.below(degree) for _ in range(degree)] for _ in range(n_maps)], dtype))
-    lo = 0
-    while lo < len(maps):
-        known, hi = maps, len(maps)  # known stays the round's snapshot as maps grows
-        step = max(1, _BLOCK // (2 * hi * degree))
-        for a in range(lo, hi, step):
-            f = known[a : a + step]
-            # per frontier map: f∘g over all g, then g∘f over all g
-            ids = grow(np.stack((f[:, known], known[:, f].swapaxes(0, 1)), axis=1).reshape(-1, degree))
-            ids = ids.reshape(len(f), 2, hi)
-            strips.append((a, ids[:, 0].astype(id_type), ids[:, 1, :lo].astype(id_type)))
-        lo = hi
-    n = len(maps)
-    table = np.empty((n, n), dtype=np.int64)
-    for a, fg, gf in strips:
-        table[a : a + len(fg), : fg.shape[1]] = fg
-        table[: gf.shape[1], a : a + len(fg)] = gf.T
-    return FiniteSemigroup(table, name=f"T({degree},{n_maps},{seed})", validate=False)
+    gens, k = maps, len(maps)
+    # breadth-first search of the right Cayley graph, a block of maps at a
+    # time: right[x * k + a] is the id of x∘a, and the element c past the
+    # generators is first found as right[edge[c - k]]
+    right, edge, x = [], [], 0
+    step = max(1, _BLOCK // (k * degree))
+    while x < len(maps):
+        f = maps[x : x + step]
+        ids, new = grow(f[:, gens].reshape(-1, degree))
+        right.append(ids)
+        edge.append(x * k + new)
+        x += len(f)
+    n, id_type = len(maps), np.min_scalar_type(len(maps) - 1)
+    right, edge = np.concatenate(right).astype(id_type), np.concatenate(edge)
+    # cols[c, y] = y∘c: for c = p∘a, y∘c = (y∘p)∘a, so row c is read off row
+    # p; edge grows with c, so the rows [c, d) with edges below c * k read
+    # only rows below c
+    cols = np.empty((n, n), dtype=id_type)
+    cols[:k] = right.reshape(n, k).T
+    c, step = k, max(1, _BLOCK // n)
+    while c < n:
+        d = min(c + step, k + np.searchsorted(edge, c * k))
+        p, a = np.divmod(edge[c - k : d - k], k)
+        cols[c:d] = right[cols[p].astype(np.intp) * k + a[:, None]]
+        c = d
+    # replay the rounds on ids: found[i] is the element numbered i, and
+    # found[:hi] the snapshot of the round whose frontier map a is next
+    found, unseen = np.arange(n), np.arange(n) >= k
+    count, a, hi = k, 0, 0
+    while count < n:
+        if a == hi:
+            hi = count
+        f, known = found[a : min(a + max(1, _BLOCK // (2 * hi)), hi)], found[:hi]
+        # per frontier map: f∘g over the snapshot, then g∘f
+        ids = np.empty((len(f), 2, hi), dtype=id_type)
+        ids[:, 0] = cols[np.ix_(known, f)].T
+        ids[:, 1] = cols[f][:, known]
+        new, first = np.unique(ids[np.take(unseen, ids)], return_index=True)
+        new = new[np.argsort(first)]
+        unseen[new] = False
+        found[count : count + len(new)] = new
+        count, a = count + len(new), a + len(f)
+    # out[i, j] = label[cols[found[j], found[i]]], a block of columns at a time
+    label = np.argsort(found).astype(id_type)
+    out = np.empty((n, n), dtype=np.int64)
+    step = max(1, _BLOCK // n)
+    for j in range(0, n, step):
+        out[:, j : j + step] = np.take(label, cols[found[j : j + step]][:, found].T)
+    return FiniteSemigroup(out, name=f"T({degree},{n_maps},{seed})", validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,32 @@ def test_closure_accepts_numpy_integers(z3):
     assert sk.closure(z3, [np.int64(1)]).members == sk.closure(z3, [np.uint8(1)]).members == (0, 1, 2)
 
 
+# a float must not be truncated to an index: 1.5 would name element 1
+@pytest.mark.parametrize("members", [(1.5,), (1.0,), ("1",), (0, 1.5), (None,)])
+def test_subset_handle_refuses_non_integer_members(z3, members):
+    with pytest.raises(OutOfRange, match=r"members must lie in \[0,3\)"):
+        sk.SubsetHandle(z3, members)
+
+
+def test_subset_handle_accepts_empty_and_numpy_members(z3):
+    assert sk.SubsetHandle(z3, ()).members == ()
+    assert sk.SubsetHandle(z3, (np.uint8(2), np.int64(0), 2)).members == (0, 2)
+
+
+@pytest.mark.parametrize("members", [[0.2], [0, 1.0], ["0"]])
+def test_subsemigroup_table_refuses_non_integer_members(z3, members):
+    # [0.2] would re-table {0}
+    with pytest.raises(OutOfRange, match=r"members must lie in \[0,3\)"):
+        sk.subsemigroup_table(z3, members)
+
+
+@pytest.mark.parametrize("entries", [(0, 1.9, 2), (0, 1.0, 2), ("0", "1", "2")])
+def test_morphism_refuses_non_integer_entries(z3, entries):
+    # (0, 1.9, 2) would read as the identity map
+    with pytest.raises(OutOfRange, match="map entries must be valid target indices"):
+        sk.SemigroupMorphism(z3, z3, entries)
+
+
 def test_idempotents(z3, pb, t2):
     assert sk.idempotents(z3).members == (0,)
     assert sk.idempotents(pb).members == (0, 1, 2, 3)

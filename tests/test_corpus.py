@@ -155,13 +155,37 @@ def test_transformation_closure_matches_oracle(params, seed):
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_transformation_closure_small_blocks_match_oracle(monkeypatch, seed):
-    # 64 entries per block: one round spans many product blocks, each of
-    # which fills its frontier maps' table strips from its own ids
+    # 64 entries per block: the search, the table's recurrence, the replayed
+    # rounds and the final gather each run in many slices
     monkeypatch.setattr(corpus_mod, "_BLOCK", 64)
     args = (4, 3, seed, 4096)
     assert closure_outcome(gen_transformation_closure, *args) == closure_outcome(
         transformation_closure_oracle, *args
     )
+
+
+def test_transformation_closure_deep_cayley_graph_matches_oracle():
+    # one generator: order 107, one element per level of the Cayley graph
+    args = (30, 1, 17, 4096)
+    outcome = closure_outcome(gen_transformation_closure, *args)
+    assert len(outcome[1]) == 107
+    assert outcome == closure_outcome(transformation_closure_oracle, *args)
+
+
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        ((6, 3, 0), "9c7f848a58daac3785a668fc9ebd91115ee83a1f1adcc928a330e7e4cd817f5c"),
+        ((6, 4, 0), "ff2f522dd7de896eaab24496b277ea75941cccd155cae480cdc0a0a685dad10c"),
+        ((7, 2, 5), "17aabcf3edcf7adb25d003dc42de273f8dbcfc56cebf6f25d9de1a1557810705"),
+    ],
+)
+def test_transformation_closure_numbering_pinned(monkeypatch, params, digest):
+    # orders 560, 838 and 1822, too large for the oracle in tier-1: the .sg
+    # bytes pin the element numbering
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    text = sk.dumps_sg(gen_transformation_closure(*params))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @given(params=closure_params, seed=seeds, cap=st.integers(1, 40))
