@@ -246,7 +246,7 @@ class SemigroupMorphism:
     @cached_property
     def is_homomorphism(self) -> bool:
         f = np.asarray(self.map, dtype=np.int64)
-        return bool(np.array_equal(f[self.source.table], self.target.table[np.ix_(f, f)]))
+        return bool(np.array_equal(f[self.source.table], self.target.table[f[:, None], f]))
 
     @cached_property
     def is_injective(self) -> bool:
@@ -267,9 +267,7 @@ class SemigroupMorphism:
         """self after inner: inner.source -> self.target."""
         if inner.target is not self.source and inner.target != self.source:
             raise ValueError("composition mismatch")
-        return SemigroupMorphism(
-            inner.source, self.target, tuple(self.map[v] for v in inner.map)
-        )
+        return SemigroupMorphism(inner.source, self.target, np.take(self.map, inner.map))
 
 
 # ---------------------------------------------------------------------------

@@ -495,8 +495,10 @@ def _check_idempotent_existence(S):
 def _check_kernel(S):
     report = kernel(S)
     K = report.kernel.members
+    in_kernel = np.zeros(S.order, dtype=bool)
+    in_kernel[list(K)] = True
     # row i: the ideal S^1 x S^1 that x = K[i] generates
-    smaller = (_two_sided_rows(_ideal_rows(S), list(K)) != np.isin(np.arange(S.order), K)).any(axis=1)
+    smaller = (_two_sided_rows(_ideal_rows(S), list(K)) != in_kernel).any(axis=1)
     if smaller.any():
         return f"kernel not minimal: {K[int(smaller.argmax())]} generates a smaller ideal"
     if not report.idempotents:

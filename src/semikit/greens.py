@@ -39,13 +39,24 @@ def _ideal_rows(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _two_sided_rows(pair, rows, cols=slice(None)) -> np.ndarray:
-    """out[i, k]: cols[k] (every element by default) lies in S^1 x S^1 for
-    x = rows[i], read off the pair of _ideal_rows.  The only computation of
-    principal two-sided ideals: S^1 x S^1 is the union of S^1 y over y in
-    x S^1, one float32 product of membership rows, exact below order 2**24."""
+def _two_sided_slices(pair, rows, cols=slice(None)):
+    """Yield (a, out) over slices of _BLOCK // n rows: out[i, k] says cols[k]
+    (every element by default) lies in S^1 x S^1 for x = rows[a + i], read
+    off the pair of _ideal_rows.  The only computation of principal
+    two-sided ideals: S^1 x S^1 is the union of S^1 y over y in x S^1, a
+    float32 product of membership rows, exact below order 2**24.  The left
+    rows are converted to float32 once per call."""
     left, right = pair
-    return right[rows].astype(np.float32) @ left[:, cols].astype(np.float32) > 0
+    rows = np.asarray(rows, dtype=np.int64)
+    ideals = left[:, cols].astype(np.float32)
+    step = max(1, _BLOCK // len(left))
+    for a in range(0, len(rows), step):
+        yield a, right[rows[a : a + step]].astype(np.float32) @ ideals > 0
+
+
+def _two_sided_rows(pair, rows, cols=slice(None)) -> np.ndarray:
+    """Every slice of _two_sided_slices at once; rows is nonempty."""
+    return np.concatenate([out for _, out in _two_sided_slices(pair, rows, cols)])
 
 
 def _labels(keys: np.ndarray) -> np.ndarray:

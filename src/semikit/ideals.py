@@ -23,7 +23,7 @@ from .errors import (
     NotIdempotent,
     SearchCapExceeded,
 )
-from .greens import _ideal_rows, _two_sided_rows
+from .greens import _ideal_rows, _two_sided_rows, _two_sided_slices
 
 
 def _is_ideal(rows: np.ndarray, members) -> bool:
@@ -79,24 +79,26 @@ def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray,
     """For the idempotents E: the membership rows of Se and eS, and the
     len(E)×4 bool table of minimal_ideal_equivalences at each e, every
     statement decided on its own from the kept principal-ideal pair: SeS is
-    S^1 e S^1, read through _two_sided_rows like every principal two-sided
-    ideal.  E is taken in slices of _BLOCK // n idempotents."""
+    S^1 e S^1, read through _two_sided_slices like every principal two-sided
+    ideal.  All four are decided in the slices of _BLOCK // n idempotents in
+    which it yields the SeS rows."""
     n = S.order
     E = np.asarray(E, dtype=np.int64)
     left, right = pair = _ideal_rows(S)  # row x: S^1 x, x S^1
     se, es = left[E], right[E]
-    in_kernel = np.isin(np.arange(n), kernel_members(S))
+    in_kernel = np.zeros(n, dtype=bool)
+    in_kernel[list(kernel_members(S))] = True
     table = np.empty((len(E), 4), dtype=bool)
-    step = max(1, _BLOCK // n)
-    for a in range(0, len(E), step):
-        sl, sr, t, e = se[a : a + step], es[a : a + step], table[a : a + step], E[a : a + step]
+    for a, ses in _two_sided_slices(pair, E):  # SeS = S^1 e S^1, as e = eee
+        b = a + len(ses)
+        sl, sr, t, e = se[a:b], es[a:b], table[a:b], E[a:b]
         back_l, back_r = left[:, e].T, right[:, e].T  # [i, x]: e_i in S^1 x, in x S^1
         # S^1 x lies in Se for x in Se, so Se is minimal iff each such S^1 x holds e
         t[:, 0], t[:, 2] = ~(sl & ~back_l).any(axis=1), ~(sr & ~back_r).any(axis=1)
         # eSe = eS ∩ Se is a group iff e is in uS^1 and S^1 u for each u in it:
         # from e = ut, u·ete = e with ete in eSe (a left inverse dually)
         t[:, 1] = ~(sl & sr & ~(back_l & back_r)).any(axis=1)
-        t[:, 3] = (_two_sided_rows(pair, e) == in_kernel).all(axis=1)  # SeS = S^1 e S^1, as e = eee
+        t[:, 3] = (ses == in_kernel).all(axis=1)
     return se, es, table
 
 

@@ -6,6 +6,7 @@ replays the Rees and classification theorems."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -86,11 +87,18 @@ def rees_construct(
     if not _is_index_dtype(P.dtype) or P.min() < 0 or P.max() >= group.order:
         raise BadSandwichEntry(f"sandwich entries must lie in [0,{group.order})")
     P = P.astype(np.int64)
-    ng = group.order
-    m = _check_order(i_size * ng * lambda_size)
-    GT = group.table
+    _check_order(i_size * group.order * lambda_size)
+    # M(I, G, Lambda, P) is associative for every group G and sandwich P
+    realized = FiniteSemigroup(_rees_table(i_size, lambda_size, group.table, P), name=name, validate=False)
+    return ReesMatrixSemigroup(i_size, lambda_size, group, P, realized)
+
+
+def _rees_table(i_size: int, lambda_size: int, GT: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The realized table of M(I, G, Lambda, P) from G's table GT and an
+    int64 sandwich P of group indices, by coordinate arithmetic."""
+    ng = len(GT)
     # coordinates of every index; a = (i, g, lam) on rows, b = (j, h, mu) on columns
-    i, g, lam = np.unravel_index(np.arange(m), (i_size, ng, lambda_size))
+    i, g, lam = np.unravel_index(np.arange(i_size * ng * lambda_size), (i_size, ng, lambda_size))
     gp = GT[g[:, None], P[lam]]  # g * p[lam, j] per row and j
     table = gp[:, i]
     table *= ng
@@ -99,9 +107,7 @@ def rees_construct(
     table += (i * ng)[:, None]
     table *= lambda_size
     table += lam
-    # M(I, G, Lambda, P) is associative for every group G and sandwich P
-    realized = FiniteSemigroup(table, name=name, validate=False)
-    return ReesMatrixSemigroup(i_size, lambda_size, group, P, realized)
+    return table
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,15 @@ class ReesDecomposition:
     rms: ReesMatrixSemigroup
     phi: SemigroupMorphism  # realized -> source, (i,g,lam) -> i*g*lam
     psi: SemigroupMorphism  # source -> realized, s -> (s(ese)^-1, ese, (ese)^-1 s)
-    closed_form_agreement: tuple[bool, ...]  # per source element, whether the
-    # printed form (s(ses)^-1, ses, (ese)^-1 s) matches psi; true only at s = e
+
+    @cached_property
+    def closed_form_agreement(self) -> tuple[bool, ...]:
+        """Per source element s, whether the printed form
+        (s(ses)^-1, ses, (ese)^-1 s) matches psi, computed on first read.
+        It differs from psi's form only in ses for ese, so it matches where
+        ses = ese: only at s = e."""
+        T, e = self.source.table, self.e
+        return tuple((T[T[:, e], np.arange(len(T))] == T[T[e], e]).tolist())
 
 
 def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposition:
@@ -126,51 +139,35 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
         _check_element(S, e)
     if not is_completely_simple(S):
         raise NotCompletelySimple("rees_decompose requires a completely simple semigroup")
-    T = S.table
-    is_idem = T.diagonal() == np.arange(S.order)
+    T, s = S.table, np.arange(S.order)
+    is_idem = T.diagonal() == s
     e = int(np.argmax(is_idem)) if e is None else int(e)
     if not is_idem[e]:
         raise NotIdempotent(f"{e} is not idempotent")
-    se, es = (np.flatnonzero(rows[e]) for rows in _ideal_rows(S))  # Se = S^1 e, as e = ee
-    i_arr = se[is_idem[se]]
-    lam_arr = es[is_idem[es]]
-    s = np.arange(S.order)
-    ese, ses = T[T[e, :], e], T[T[:, e], s]
-    g_arr = np.unique(ese)  # eSe = H_e
-    group, _ = subsemigroup_table(S, g_arr)
+    se, es = (rows[e] for rows in _ideal_rows(S))  # Se = S^1 e, as e = ee
+    # I = Se ∩ E(S), Lambda = eS ∩ E(S) and H_e = eSe = Se ∩ eS, ascending
+    i_arr, lam_arr, g_arr = (np.flatnonzero(m) for m in (se & is_idem, es & is_idem, se & es))
     gpos = _positions(S.order, g_arr)
-    # an entry outside H_e stays -1 and is refused as a BadSandwichEntry
+    group = FiniteSemigroup(gpos[T[g_arr[:, None], g_arr]], validate=False)  # H_e is a group
     P = gpos[T[lam_arr[:, None], i_arr]]
-    rms = rees_construct(i_arr.size, lam_arr.size, group, P)
+    if P.min() < 0:  # lam*i outside H_e
+        raise BadSandwichEntry(f"sandwich entries must lie in [0,{g_arr.size})")
+    realized = FiniteSemigroup(_rees_table(i_arr.size, lam_arr.size, group.table, P), validate=False)
     # (i, g, lam) -> i*g*lam, laid out in the realized index order
-    phi_map = T[T[i_arr[:, None], g_arr][:, :, None], lam_arr].ravel()
-    phi = SemigroupMorphism(rms.realized, S, tuple(phi_map))
-    inv = g_arr[_group_inverses(group)]  # inv[k]: the inverse of g_arr[k] in H_e
-    i_pos = _positions(S.order, i_arr)
-    lam = _positions(S.order, lam_arr)[T[inv[gpos[ese]], s]]
-
-    def form(middle: np.ndarray) -> np.ndarray:
-        """Realized index of (s m^-1, m, (ese)^-1 s) at each s, m = middle[s];
-        -1 where a component lies outside its coordinate set."""
-        g = gpos[middle]
-        i = i_pos[T[s, inv[g]]]  # g = -1 reads a wrapped entry, masked below
-        ok = (g >= 0) & (i >= 0) & (lam >= 0)
-        return np.where(ok, (i * g_arr.size + g) * lam_arr.size + lam, -1)
-
-    psi_map = form(ese)
-    psi = SemigroupMorphism(S, rms.realized, tuple(psi_map))  # refuses a -1 as OutOfRange
-    agreement = tuple((form(ses) == psi_map).tolist())
-    i_elements, lambda_elements, group_elements = (
-        tuple(a.tolist()) for a in (i_arr, lam_arr, g_arr)
-    )
-    return ReesDecomposition(
-        S, e, i_elements, lambda_elements, group_elements, rms, phi, psi, agreement
-    )
+    phi = SemigroupMorphism(realized, S, T[T[i_arr[:, None], g_arr][:, :, None], lam_arr].ravel())
+    g = gpos[T[T[e], e]]  # the position of ese in H_e
+    inv = g_arr[_group_inverses(group.table, gpos[e])[g]]  # (ese)^-1 in H_e, whose identity is e
+    i, lam = _positions(S.order, i_arr)[T[s, inv]], _positions(S.order, lam_arr)[T[inv, s]]
+    # -1 where a component lies outside its coordinate set, refused as OutOfRange
+    psi_map = np.where((i >= 0) & (lam >= 0), (i * g_arr.size + g) * lam_arr.size + lam, -1)
+    psi = SemigroupMorphism(S, realized, psi_map)
+    rms = ReesMatrixSemigroup(i_arr.size, lam_arr.size, group, P, realized)
+    return ReesDecomposition(S, e, *(tuple(a.tolist()) for a in (i_arr, lam_arr, g_arr)), rms, phi, psi)
 
 
-def _group_inverses(G: FiniteSemigroup) -> np.ndarray:
-    """inv[g] for every element g of the group G."""
-    return np.argmax(G.table == is_monoid(G), axis=1)
+def _group_inverses(GT: np.ndarray, identity: int) -> np.ndarray:
+    """inv[g] for every element g of the group with table GT and that identity."""
+    return np.argmax(GT == identity, axis=1)
 
 
 class SubsemigroupDecomposition(NamedTuple):
@@ -206,7 +203,7 @@ def normalize_sandwich(rms: ReesMatrixSemigroup) -> np.ndarray:
     """Re-base P by row/column group translations so row 0 and column 0
     become the identity; yields an isomorphic Rees matrix semigroup."""
     GT = rms.group.table
-    inv = _group_inverses(rms.group)
+    inv = _group_inverses(GT, is_monoid(rms.group))
     P = rms.sandwich
     # p'_{lam,i} = p_{lam,0}^-1 * p_{lam,i} * p_{0,i}^-1 * p_{0,0}
     v = GT[inv[P[:, :1]], P]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -86,6 +87,116 @@ def test_decompose_emit_rms(z3_file, tmp_path, capsys):
     assert doc["base_idempotent"] == 0
     back = sk.read_rms(rms)
     assert back.realized.order == 3
+
+
+# sha256 of `semikit --format structured decompose FILE --base-idempotent e`
+# at each idempotent e, ascending, of every completely simple member of
+# census(4) (by census index) and of four Rees instances with P != 1
+DECOMPOSE_SHA256 = {
+    ("census", 0): (
+        "295f698befed59f99f359414bc07e532161cc2f555bd8d320f7ca5051b2f2a7b",
+    ),
+    ("census", 3): (
+        "ee95a65c369492e00ab5eb2576ed87a62ceeac44f668a593e8077288df32e4f7",
+        "afbd33e93994d742fa36aa4cad8b6eb1316a00f9f7c7392746e9fc0c681073b8",
+    ),
+    ("census", 4): (
+        "69690c9a941976b0791808d90b285918b7294164b1bafb15b132cebcb538ade8",
+        "c51bd442a55734213227dd4664db245143e8cfa773051acc2d0ff156f18d386f",
+    ),
+    ("census", 5): (
+        "f1948f91adf45e6b6907d34c4bed6d6a2e1837d8382c0c92225499607b06f72c",
+    ),
+    ("census", 21): (
+        "c85e50d143ed53342e393db5b96c535d39496869dec7b14fc881579601f612a5",
+        "1bdd48442bcc51b246f0d4aa501fc0781b713360f4c94084747a3627f953454c",
+        "c795c99713471d5b6fe7a21e4db7e790e17241ddbe724e0303564295eccf66d0",
+    ),
+    ("census", 28): (
+        "6f786490209b530edcb8293dbd0ca08b3b983df1ff8e2c1ab3fea964968f140b",
+        "a2bd5a6d491da0f9ff4725407733950ba761e0db743811281625f5a6d08b63c2",
+        "a4c0308d9febc58b708ca5fecda9ce0d76d42d3767d30e0874f0f753cc7a0d32",
+    ),
+    ("census", 29): (
+        "7f6471f3b4d0d1c25c70842b558b1aa6a59ad18f7fd5ccef4ef4b752d8482435",
+    ),
+    ("census", 154): (
+        "276ecb44a91bf2a6f7172e2379daf8de922f1585f3d02c420bb39ff30ec3dba1",
+        "eb50e45ed644802107bbf6c5f02d2b9fba37ec5337c9e979055b3a3999ee23cd",
+        "6eff9c2d604791d65703615d3d464c67f3782e77ff4ca66c867accf3bc5ba4dc",
+        "0845716885fd9868690852aa95df82dee3e8a88196b8508441298d70ff9a6b9e",
+    ),
+    ("census", 203): (
+        "f0e838eedbef8d53f2c74bc93c5731a05fdeaf9e76f6a81e49949db251823059",
+        "b1faf82d8cc01717be043102c37a5605434428b12a13c6d934ae58f14e7f5950",
+        "7c3b641e63b6fd988a34aa295315f5b30e69f55167cfd3e47d8d53f2418cf55a",
+        "21a08e834ac366364a592ecb2fa4c27e7c26134c259500016ec696a48c9162eb",
+    ),
+    ("census", 204): (
+        "46c4237159a6276fa13a3113f0af931f195afab38491829f505582e0cc5b5977",
+        "b4a843571318a39fd68657e175a9c7dba4a8a899542d27f1a00f53707823d4df",
+    ),
+    ("census", 214): (
+        "ce80d9846027d4a3959f746fa83568b65d517397e0a39bd6c6f3e340a28b9fb3",
+        "98bbe0684d74791e14056785d1ad51fa1fd2066dd37663363ae733073c085d1d",
+        "265608273ce4f9e37b7ba1ea10b2dee195eaae40662bb1b71c4345f7381bd2f9",
+        "516809c3ee7be88cec604848e9d7a3f84b09479bd119ece524c91bc270947a15",
+    ),
+    ("census", 215): (
+        "177bf8dbf1a5615755c073bb32862dbab3552373e6b75b7a80c96e24e15dedd5",
+        "49aa8ae8422169b8fede6e6e8a0d9f009d907519035c7903c6cb56a71352ffd2",
+    ),
+    ("census", 216): (
+        "74529776c5606a99bf872faab0a0ecc5e4093d4ea657941e433f86c791b757e3",
+    ),
+    ("census", 217): (
+        "74529776c5606a99bf872faab0a0ecc5e4093d4ea657941e433f86c791b757e3",
+    ),
+    ("random_rees", 2, 2, "z2", 1): (
+        "9abf9fa10227e9d067f945926574b7be4de1d859057a2bcd3f982fc1fed02e1f",
+        "b1525aee581c4bbc9ad4afae72f5de831935a94a0849b15938fce6f0b85655f5",
+        "0ae3496a3020165a2dedc6612e037247683fd20d174580b5690bc1fbb5305a69",
+        "fa58cef836eaa0568e762121d8c8d51bba30d1b79da49f9b790c81f29b94729f",
+    ),
+    ("random_rees", 2, 2, "z2", 2): (
+        "1b7e614cee63849fac227ed853c481b8ba8b67a6a3e32432e4d5e71c258c2c1e",
+        "9fdf5dc3474aedcd90ab8f7e58508e6597b5a71d7f790654587fda63db346b7f",
+        "03917b5cce555a466e2ee6b28007184bfbb6a7bd0ce2b91cd3412948703b2811",
+        "a28a0baed53de3e78eda4193653ae4073b996a2de71a5cc394dc8c735e2aa695",
+    ),
+    ("random_rees", 2, 3, "z2", 2): (
+        "bfbe581d8dc2585dfd059c3ab4e0dff7558a75286f75d291145a3fc15007c060",
+        "49b499bcc5df11dfbc3d911a7eb251a377b2a7ada80d3ba08bde739b446de772",
+        "97858f3acb7ecf98777e4bd84c75a1c8fd3b728b307c94799fe7d801aef9d518",
+        "e67a2db09befd2c7a27da42586c3fa92f7e6d817c3749f9189523840f70d7e28",
+        "3d5947832a193f23e5ec91de3a002a81125ac4601e0c4692a19f228267529f1b",
+        "29aa29d79c9df9aec5d804afc5461659139257f848d79bdea885e2fd399fb674",
+    ),
+    ("random_rees", 3, 2, "z2", 3): (
+        "7017d048bc8f4cef96342fca600f27ff8bc0e78dbbd65d5d17af6a98a504a6c4",
+        "063cdc8d6f9b165782f12ff4b7bdc260c3de894fb73ffd4bad9e4824aada5f19",
+        "2351305e4d438ff108f81022d77d3c754aa640e8d622574276baeb47511fbac0",
+        "e6a3583f29e167fe5ad6951b48cfd4cb891a1311e8ca4836f949684b53cf249d",
+        "3349309cc1c7985f09196c66d67600ced5d99192c7e4f56c68b6bb9b8a135b15",
+        "04cb4b74aad5d4be3b06a4c2373d9db80e422e9e72fbbf37e7abccdbf23b5b74",
+    ),
+}
+
+
+def test_decompose_structured_bytes_pinned(census4, tmp_path, capsys):
+    instances = {("census", k): S for k, S in enumerate(census4) if sk.is_completely_simple(S)}
+    instances.update(
+        {key: gen_random_rees(*key[1:]).realized for key in DECOMPOSE_SHA256 if key[0] == "random_rees"}
+    )
+    assert instances.keys() == DECOMPOSE_SHA256.keys()
+    path = tmp_path / "s.sg"
+    for key, S in instances.items():
+        sk.write_sg(S, path)
+        digests = []
+        for e in sk.idempotents(S):
+            assert main(["--format", "structured", "decompose", str(path), "--base-idempotent", str(e)]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert tuple(digests) == DECOMPOSE_SHA256[key], key
 
 
 @pytest.mark.parametrize("e", ["99", "-1"])

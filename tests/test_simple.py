@@ -15,6 +15,7 @@ from semikit.errors import (
     Overflow,
     SearchCapExceeded,
 )
+from semikit.ideals import kernel_members
 from semikit.simple import dumps_rms, loads_rms, normalize_sandwich
 
 
@@ -182,6 +183,47 @@ def test_psi_is_the_closed_form_and_the_printed_form_agrees_only_at_e(census5):
             assert list(dec.psi.map) == closed_form_oracle(S, dec)
             # the printed (s(ses)^-1, ses, (ese)^-1 s) is psi only at s = e
             assert [s for s, ok in enumerate(dec.closed_form_agreement) if ok] == [e]
+
+
+def rees_fields_oracle(S, e):
+    """I, Lambda and H_e of the decomposition at e, its group table, P, the
+    realized table and phi, each read element by element off S's table."""
+    T, n = S.table, S.order
+    E = {x for x in range(n) if T[x, x] == x}
+    I = sorted({int(T[s, e]) for s in range(n)} & E)  # Se ∩ E(S)
+    L = sorted({int(T[e, s]) for s in range(n)} & E)  # eS ∩ E(S)
+    G = sorted({int(T[T[e, s], e]) for s in range(n)})  # eSe = H_e
+    group = [[G.index(T[g, h]) for h in G] for g in G]
+    P = [[G.index(T[lam, i]) for i in I] for lam in L]
+    realized = rees_table_oracle(len(I), len(L), sk.FiniteSemigroup(group, validate=False), P)
+    phi = [int(T[T[i, g], lam]) for i in I for g in G for lam in L]  # (i, g, lam) -> i*g*lam
+    return tuple(I), tuple(L), tuple(G), group, P, realized.tolist(), phi
+
+
+def test_rees_fields_match_element_loops(census5):
+    # every idempotent of the rees_roundtrip grid and of census(5)'s kernels
+    grid = [
+        gen_random_rees(i, lam, group, seed).realized
+        for group in ("trivial", "z2", "z3", "z4", "z2xz2", "s3")
+        for i in (1, 2, 3)
+        for lam in (1, 2, 3)
+        for seed in (1, 2)
+    ]
+    kernels = [sk.subsemigroup_table(S, kernel_members(S))[0] for S in census5]
+    for S in grid + kernels:
+        for e in sk.idempotents(S):
+            dec = sk.rees_decompose(S, e)
+            assert "closed_form_agreement" not in vars(dec)  # computed on first read
+            fields = (
+                dec.i_elements,
+                dec.lambda_elements,
+                dec.group_elements,
+                dec.rms.group.table.tolist(),
+                dec.rms.sandwich.tolist(),
+                dec.rms.realized.table.tolist(),
+                list(dec.phi.map),
+            )
+            assert fields == rees_fields_oracle(S, e)
 
 
 def test_decomposition_reported_sizes(rb22):
