@@ -282,15 +282,10 @@ def from_table(n: int, entries, name: Optional[str] = None) -> FiniteSemigroup:
     return FiniteSemigroup(arr, name=name)
 
 
-def identity_morphism(S: FiniteSemigroup) -> SemigroupMorphism:
-    return SemigroupMorphism(S, S, tuple(range(S.order)))
-
-
 def adjoin_identity(S: FiniteSemigroup):
     """Return (S^1, inclusion).  S is returned unchanged when already a monoid."""
-    e = is_monoid(S)
-    if e is not None:
-        return S, identity_morphism(S)
+    if is_monoid(S) is not None:
+        return S, SemigroupMorphism(S, S, tuple(range(S.order)))
     n = S.order
     table = np.empty((n + 1, n + 1), dtype=np.int64)
     table[:n, :n] = S.table

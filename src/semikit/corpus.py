@@ -204,29 +204,14 @@ def gen_random_rees(
     return rees_construct(i_size, lambda_size, group, sandwich)
 
 
-def _first_equal(rows: np.ndarray) -> np.ndarray:
-    """For each row, the index of the first row equal to it: a stable
-    lexicographic sort of the rows, then a comparison of adjacent ones."""
-    cols = rows.T[::-1]  # np.lexsort's primary key is its last
-    order = np.lexsort(cols)
-    starts = np.arange(len(rows)) == 0
-    for col in cols:
-        ranked = col[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    runs = np.flatnonzero(starts)  # stable: each run opens at its least index
-    first = np.empty_like(order)
-    first[order] = np.repeat(order[runs], np.diff(runs, append=len(rows)))
-    return first
-
-
 def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSemigroup:
     """Close seeded random self-maps of [0, degree) under composition.
 
     The product of maps f and g is x -> f[g[x]].  The elements are found
     by a breadth-first search of the right Cayley graph over the distinct
     generators (Froidure and Pin): blocks of maps f, in order of discovery,
-    times every generator a; the ids of the products f∘a, looked up by a
-    lexicographic sort of rows at any degree, are the graph's edges.  Each
+    times every generator a; the ids of the products f∘a, looked up in one
+    dict of row bytes kept for the whole search, are the graph's edges.  Each
     element c past the generators is first found as p∘a for an earlier p,
     so y∘c = (y∘p)∘a fills its column of the table from p's.
 
@@ -247,34 +232,35 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
     if cap * degree * dtype.itemsize > _MAPS_BUDGET:
         raise Overflow(f"{cap} maps of degree {degree} exceed the closure's map budget")
     rng = SplitMix64(seed)
-    maps = np.empty((0, degree), dtype=dtype)
+    maps, seen = np.empty((cap, degree), dtype=dtype), {}  # the known maps; their ids by row bytes
 
     def grow(rows: np.ndarray):
-        """Append the rows not yet known, in order of first occurrence; return
-        each row's id and the positions of the rows appended."""
-        nonlocal maps
-        k = len(maps)
-        first = _first_equal(np.concatenate((maps, rows)))  # known maps sort first
-        fresh = first[k:] == np.arange(k, k + len(rows))
-        if k + np.count_nonzero(fresh) > cap:
+        """Number rows through seen and append the new ones to maps, in order
+        of first occurrence; return each row's id and the positions of the
+        rows appended."""
+        k = len(seen)
+        ids = _labels(rows, seen)
+        if len(seen) > cap:
             raise Overflow(f"transformation closure exceeds max order {cap}")
-        maps = np.concatenate((maps, rows[fresh]))
-        return np.concatenate((np.arange(k), k - 1 + np.cumsum(fresh)))[first[k:]], np.flatnonzero(fresh)
+        labels, first = np.unique(ids, return_index=True)
+        new = first[labels >= k]
+        maps[k : len(seen)] = rows[new]
+        return ids, new
 
     grow(np.array([[rng.below(degree) for _ in range(degree)] for _ in range(n_maps)], dtype))
-    gens, k = maps, len(maps)
+    gens, k = maps[: len(seen)], len(seen)
     # breadth-first search of the right Cayley graph, a block of maps at a
     # time: right[x * k + a] is the id of x∘a, and the element c past the
     # generators is first found as right[edge[c - k]]
     right, edge, x = [], [], 0
     step = max(1, _BLOCK // (k * degree))
-    while x < len(maps):
-        f = maps[x : x + step]
+    while x < len(seen):
+        f = maps[x : min(x + step, len(seen))]
         ids, new = grow(f[:, gens].reshape(-1, degree))
         right.append(ids)
         edge.append(x * k + new)
         x += len(f)
-    n, id_type = len(maps), np.min_scalar_type(len(maps) - 1)
+    n, id_type = len(seen), np.min_scalar_type(len(seen) - 1)
     right, edge = np.concatenate(right).astype(id_type), np.concatenate(edge)
     # cols[c, y] = y∘c: for c = p∘a, y∘c = (y∘p)∘a, so row c is read off row
     # p; edge grows with c, so the rows [c, d) with edges below c * k read

@@ -44,14 +44,16 @@ def _two_sided_slices(pair, rows, cols=slice(None)):
     (every element by default) lies in S^1 x S^1 for x = rows[a + i], read
     off the pair of _ideal_rows.  The only computation of principal
     two-sided ideals: S^1 x S^1 is the union of S^1 y over y in x S^1, a
-    float32 product of membership rows, exact below order 2**24.  The left
-    rows are converted to float32 once per call."""
+    float32 product of membership rows, exact below order 2**24.  Only the
+    left rows of the middles y that some x S^1 holds are read, converted to
+    float32 once per call."""
     left, right = pair
     rows = np.asarray(rows, dtype=np.int64)
-    ideals = left[:, cols].astype(np.float32)
+    used = right[rows].any(axis=0)
+    ideals = left[used][:, cols].astype(np.float32)
     step = max(1, _BLOCK // len(left))
     for a in range(0, len(rows), step):
-        yield a, right[rows[a : a + step]].astype(np.float32) @ ideals > 0
+        yield a, right[rows[a : a + step]][:, used].astype(np.float32) @ ideals > 0
 
 
 def _two_sided_rows(pair, rows, cols=slice(None)) -> np.ndarray:
@@ -59,12 +61,16 @@ def _two_sided_rows(pair, rows, cols=slice(None)) -> np.ndarray:
     return np.concatenate([out for _, out in _two_sided_slices(pair, rows, cols)])
 
 
-def _labels(keys: np.ndarray) -> np.ndarray:
+def _labels(keys: np.ndarray, seen: Optional[dict] = None) -> np.ndarray:
     """Number the rows of keys (its entries, if 1-D) by first occurrence, so
-    equal rows share a label and classes are numbered by least member."""
-    rows = np.ascontiguousarray(keys).reshape(len(keys), -1)
-    seen: dict[bytes, int] = {}
-    return np.array([seen.setdefault(bytes(row), len(seen)) for row in rows], dtype=np.int64)
+    equal rows share a label and classes are numbered by least member.  A
+    dict ``seen`` of row bytes from earlier calls on rows of the same shape
+    and dtype carries their numbering on: a row met before keeps its label,
+    and new rows are numbered from ``len(seen)``; ``seen`` is extended."""
+    rows = np.ascontiguousarray(keys if keys.ndim == 2 else keys[:, None])
+    rows = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
+    seen = {} if seen is None else seen
+    return np.array([seen.setdefault(row, len(seen)) for row in rows.tolist()], dtype=np.int64)
 
 
 def _members_of(labels: np.ndarray) -> list[tuple[int, ...]]:

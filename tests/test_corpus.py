@@ -25,6 +25,7 @@ from semikit.corpus import (
     verify_suite,
 )
 from semikit.core import max_order
+from semikit.greens import _labels
 from semikit.ideals import _minimal_ideal_table, kernel
 from semikit.simple import normalize_sandwich
 from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
@@ -178,11 +179,14 @@ def test_transformation_closure_deep_cayley_graph_matches_oracle():
         ((6, 3, 0), "9c7f848a58daac3785a668fc9ebd91115ee83a1f1adcc928a330e7e4cd817f5c"),
         ((6, 4, 0), "ff2f522dd7de896eaab24496b277ea75941cccd155cae480cdc0a0a685dad10c"),
         ((7, 2, 5), "17aabcf3edcf7adb25d003dc42de273f8dbcfc56cebf6f25d9de1a1557810705"),
+        ((500, 1, 1), "2cefc9e4498e8eb5452cf79e06861282dfa595d683c90aa4840fb304ce744aa7"),
+        ((2048, 1, 10), "94a85415ce084ad5c46f00bba5c6bcd454afb19c7ed8df6bd96a648616fb672a"),
     ],
 )
 def test_transformation_closure_numbering_pinned(monkeypatch, params, digest):
-    # orders 560, 838 and 1822, too large for the oracle in tier-1: the .sg
-    # bytes pin the element numbering
+    # orders 560, 838, 1822, 1895 and 988, too large for the oracle in
+    # tier-1: the .sg bytes pin the element numbering; the last two have one
+    # generator, so the search's frontier is a map or two wide
     monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
     text = sk.dumps_sg(gen_transformation_closure(*params))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -217,6 +221,16 @@ def test_transformation_closure_overflow_is_cheap(monkeypatch):
     assert peak < 64 << 20
 
 
+def test_transformation_closure_narrow_frontier_is_fast(monkeypatch):
+    # one generator of degree 2048: order 988, found about one map per block
+    # of the Cayley-graph search, so a lookup whose cost grows with the maps
+    # known per block makes the search quadratic in the order
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    start = time.perf_counter()
+    assert gen_transformation_closure(2048, 1, 10).order == 988
+    assert time.perf_counter() - start < 2
+
+
 def test_transformation_closure_degree_refused_before_generating(monkeypatch):
     # 4096 maps of degree 99999 would need 1.6 GB; refused from the header
     # arithmetic, before even the 200k generator entries are drawn
@@ -242,12 +256,17 @@ def test_transformation_closure_degree_refused_before_generating(monkeypatch):
         lambda width: st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width), min_size=1, max_size=60)
     ),
     st.sampled_from([np.uint8, np.uint16, np.int64]),
+    st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_first_equal_matches_dict(rows, dtype):
-    first: dict[tuple, int] = {}
-    expected = [first.setdefault(tuple(row), i) for i, row in enumerate(rows)]
-    assert corpus_mod._first_equal(np.array(rows, dtype=dtype)).tolist() == expected
+def test_labels_across_blocks_match_dict(rows, dtype, data):
+    # the closure numbers its products a block at a time through one dict
+    labels: dict[tuple, int] = {}
+    expected = [labels.setdefault(tuple(row), len(labels)) for row in rows]
+    arr, seen = np.array(rows, dtype=dtype), {}
+    m = data.draw(st.integers(0, len(rows)))
+    got = np.concatenate((_labels(arr[:m], seen), _labels(arr[m:], seen)))
+    assert got.tolist() == expected and len(seen) == len(labels)
 
 
 @functools.cache

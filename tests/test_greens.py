@@ -33,6 +33,23 @@ def test_principal_ideals_t2(t2):
     assert two.members == (2, 3)
 
 
+def test_one_principal_ideal_reads_few_left_rows(monkeypatch):
+    # RB(64,64), order 4096: x S^1 holds 64 middles, so S^1 x S^1 reads 64
+    # left rows, not a float32 copy of all 4096 (64 MB)
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    S = gen_standard("rect_band", 64, 64)
+    greens._ideal_rows(S)  # kept per semigroup: not this call's cost
+    tracemalloc.start()
+    try:
+        left, right, two = sk.principal_ideals(S, 65)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left.members == tuple(range(1, 4096, 64)) and right.members == tuple(range(64, 128))
+    assert two.members == tuple(range(4096))
+    assert peak < 8 << 20
+
+
 def test_greens_z3(z3):
     G = greens_structure(z3)
     for classes in (G.l_classes, G.r_classes, G.j_classes, G.h_classes, G.d_classes):
