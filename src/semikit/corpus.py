@@ -4,7 +4,6 @@ generated instance."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -26,7 +25,6 @@ from .core import (
     is_group,
     is_monoid,
     monogenic,
-    subsemigroup_table,
 )
 from .errors import (
     CensusLimitExceeded,
@@ -46,17 +44,16 @@ from .ideals import (
     _minimal_ideal_table,
     _swelling_verdicts,
     enumerate_ideals,
-    idempotent_poset,
     kernel,
     kernel_members,
 )
 from .simple import (
+    _rees_coordinates,
+    _rees_table,
     _subsemigroup_masks,
     enumerate_subsemigroups,
     is_completely_simple,
     rees_construct,
-    rees_decompose,
-    subsemigroup_decompose,
     subsemigroup_of_group_check,
     ReesMatrixSemigroup,
 )
@@ -567,17 +564,26 @@ def _check_h_meet(S):
 
 
 def _check_kernel_rees_roundtrip(S):
-    sub, _ = subsemigroup_table(S, kernel_members(S))
-    if not is_completely_simple(sub):
-        return "kernel not completely simple"
-    if not idempotent_poset(sub).primitives:
+    """K's Rees round-trip at its least idempotent e, on S's own rows: K is
+    an ideal holding e, so S^1 e lies in K, and x = xe on S^1 e, so S^1 e =
+    Ke; so too eS^1 = eK and eS^1 e = eKe.  Witnesses name elements of S."""
+    T, K = S.table, np.asarray(kernel_members(S))
+    is_idem = T.diagonal() == np.arange(S.order)
+    E = K[is_idem[K]]  # E(K), ascending
+    left, right = _ideal_rows(S)  # f <= g, f = fg = gf, puts f in S^1 g ∩ g S^1
+    if ((left[E] & right[E] & is_idem).sum(axis=1) > 1).all():
         return "kernel has no primitive idempotent"
-    dec = rees_decompose(sub)
-    if not dec.phi.is_homomorphism:
-        return "phi is not a homomorphism"
-    phi, psi = np.asarray(dec.phi.map), np.asarray(dec.psi.map)
-    for there, back, law in ((psi, phi, "phi(psi(s)) != s at s"), (phi, psi, "psi(phi(x)) != x at x")):
-        bad = np.flatnonzero(back[there] != np.arange(len(there)))
+    i_arr, lam_arr, g_arr, GT, P, phi, psi = _rees_coordinates(S, int(E[0]))
+    if P.min() < 0 or i_arr.size * g_arr.size * lam_arr.size != K.size:
+        return "kernel not completely simple"
+    step = max(1, _BLOCK // K.size)  # realized rows per slice
+    for a in range(0, K.size, step):
+        rows = slice(a, a + step)
+        if not np.array_equal(phi[_rees_table(i_arr.size, lam_arr.size, GT, P, rows)], T[phi[rows, None], phi]):
+            return "phi is not a homomorphism"
+    back = np.append(phi, -1)[psi[K]]  # -1 where psi is undefined
+    for bad, law in ((K[back != K], "phi(psi(s)) != s at s"),
+                     (np.flatnonzero(psi[phi] != np.arange(phi.size)), "psi(phi(x)) != x at x")):
         if len(bad):
             return f"{law}={bad[0]}"
 
@@ -592,40 +598,50 @@ def _check_green_restriction(S):
         return f"restriction fails on {np.flatnonzero(masks[row]).tolist()}: {(violation,)}"
 
 
+def _classification_rows(S, masks):
+    """Per row T of masks, T's least idempotent e and J = T∩Se∩E(S) =
+    Te∩E(T), W = T∩H_e = eTe and Gamma = T∩eS∩E(S): x in Se means x = xe."""
+    is_idem = S.table.diagonal() == np.arange(S.order)
+    e = np.argmax(masks & is_idem, axis=1)
+    se, es = (rows[e] for rows in _ideal_rows(S))
+    return e, masks & se & is_idem, masks & se & es, masks & es & is_idem
+
+
+def _product_rows(table, A, B):
+    """Per row t, the membership row of the product set A[t]*B[t]."""
+    t, a, b = np.nonzero(A[:, :, None] & B[:, None, :])
+    out = np.zeros_like(A)
+    out[t, table[a, b]] = True
+    return out
+
+
 def _check_subsemigroup_classification(S):
-    """Every subsemigroup T of a completely simple S is M(J, W, Gamma, P')
-    with J in I, W a subgroup of G, Gamma in Lambda and P' the restriction
-    of P to Gamma x J, read at a shared base idempotent; the count of
-    subsemigroups is at most sum over subgroups W of 2^|I| * 2^|Lambda|."""
+    """Every subsemigroup T of a completely simple S is M(J, W, Gamma, P
+    restricted), at T's least idempotent e: W is a subgroup of H_e, Gamma*J
+    lies in W and T = J*W*Gamma, decided for every T at once.  There are at
+    most (subgroups of G) * 2^|I| * 2^|Lambda| of them."""
     if not is_completely_simple(S):
         return None
     if S.order > SUBSEMIGROUP_CHECK_LIMIT:
         return SKIP
-    subs = enumerate_subsemigroups(S)
-    at = functools.cache(lambda e: rees_decompose(S, e))  # one per base idempotent
-    for T in subs:
-        J, W, Gamma, dec_T = subsemigroup_decompose(S, T)
-        # S's coordinates at T's base idempotent; T.members[k] is T's element k
-        dec_S = at(T.members[dec_T.e])
-        where = f"T={list(T.members)}"
-        if not set(J.members) <= set(dec_S.i_elements):
-            return f"J is not contained in I at {where}"
-        if not set(W.members) <= set(dec_S.group_elements):
-            return f"W is not contained in G at {where}"
-        if not set(Gamma.members) <= set(dec_S.lambda_elements):
-            return f"Gamma is not contained in Lambda at {where}"
-        # P' and the restriction of P, both as elements of S
-        rows = [dec_S.lambda_elements.index(x) for x in Gamma.members]
-        cols = [dec_S.i_elements.index(x) for x in J.members]
-        p_S = np.asarray(dec_S.group_elements)[dec_S.rms.sandwich[np.ix_(rows, cols)]]
-        p_T = np.asarray(T.members)[np.asarray(dec_T.group_elements)[dec_T.rms.sandwich]]
-        if not np.array_equal(p_S, p_T):
-            return f"sandwich matrix does not restrict at {where}"
-    dec = at(idempotents(S).members[0])  # rees_decompose(S)'s base idempotent
-    n_subgroups = len(enumerate_subsemigroups(dec.rms.group))
-    bound = n_subgroups * 2**dec.rms.i_size * 2**dec.rms.lambda_size
-    if len(subs) > bound:
-        return f"subsemigroup count {len(subs)} exceeds bound {bound}"
+    table, masks = S.table, _subsemigroup_masks(S)
+    e, J, W, Gamma = _classification_rows(S, masks)
+    verdicts = np.array([  # a closed subset of the finite group H_e that holds e is a subgroup
+        W[np.arange(len(W)), e] & ~(_product_rows(table, W, W) & ~W).any(axis=1),
+        ~(_product_rows(table, Gamma, J) & ~W).any(axis=1),
+        (_product_rows(table, _product_rows(table, J, W), Gamma) == masks).all(axis=1),
+    ])
+    failing = ~verdicts.all(axis=0)
+    if failing.any():
+        k = int(failing.argmax())  # the first failing T, then its first false statement
+        claim = ("W is not a subgroup of H_e", "Gamma*J is not contained in W", "T is not J*W*Gamma")
+        return f"{claim[int(verdicts[:, k].argmin())]} at T={np.flatnonzero(masks[k]).tolist()}"
+    # the last row is S itself, at S's first idempotent: there J = I, W = G
+    # and Gamma = Lambda; every subsemigroup of the group G is a subgroup
+    n_subgroups = int((masks <= W[-1]).all(axis=1).sum())
+    bound = n_subgroups * 2 ** int(J[-1].sum()) * 2 ** int(Gamma[-1].sum())
+    if len(masks) > bound:
+        return f"subsemigroup count {len(masks)} exceeds bound {bound}"
 
 
 def _check_stability(S):

@@ -19,6 +19,7 @@ from .core import (
     _check_element,
     _check_order,
     _derived,
+    _idempotent_members,
     _int_rows,
     _is_index_dtype,
     _positions,
@@ -93,20 +94,21 @@ def rees_construct(
     return ReesMatrixSemigroup(i_size, lambda_size, group, P, realized)
 
 
-def _rees_table(i_size: int, lambda_size: int, GT: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The realized table of M(I, G, Lambda, P) from G's table GT and an
-    int64 sandwich P of group indices, by coordinate arithmetic."""
+def _rees_table(i_size: int, lambda_size: int, GT: np.ndarray, P: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Rows (all by default) of the realized table of M(I, G, Lambda, P) from
+    G's table GT and an int64 sandwich P of group indices, by arithmetic."""
     ng = len(GT)
     # coordinates of every index; a = (i, g, lam) on rows, b = (j, h, mu) on columns
-    i, g, lam = np.unravel_index(np.arange(i_size * ng * lambda_size), (i_size, ng, lambda_size))
+    j, h, mu = np.unravel_index(np.arange(i_size * ng * lambda_size), (i_size, ng, lambda_size))
+    i, g, lam = j[rows], h[rows], mu[rows]
     gp = GT[g[:, None], P[lam]]  # g * p[lam, j] per row and j
-    table = gp[:, i]
+    table = gp[:, j]
     table *= ng
-    table += g  # flat index of (g p[lam, j], h) in the group table
+    table += h  # flat index of (g p[lam, j], h) in the group table
     table = GT.ravel()[table]
     table += (i * ng)[:, None]
     table *= lambda_size
-    table += lam
+    table += mu
     return table
 
 
@@ -139,30 +141,38 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
         _check_element(S, e)
     if not is_completely_simple(S):
         raise NotCompletelySimple("rees_decompose requires a completely simple semigroup")
-    T, s = S.table, np.arange(S.order)
-    is_idem = T.diagonal() == s
-    e = int(np.argmax(is_idem)) if e is None else int(e)
-    if not is_idem[e]:
+    e = _idempotent_members(S)[0] if e is None else int(e)
+    if S.table[e, e] != e:
         raise NotIdempotent(f"{e} is not idempotent")
-    se, es = (rows[e] for rows in _ideal_rows(S))  # Se = S^1 e, as e = ee
-    # I = Se ∩ E(S), Lambda = eS ∩ E(S) and H_e = eSe = Se ∩ eS, ascending
-    i_arr, lam_arr, g_arr = (np.flatnonzero(m) for m in (se & is_idem, es & is_idem, se & es))
-    gpos = _positions(S.order, g_arr)
-    group = FiniteSemigroup(gpos[T[g_arr[:, None], g_arr]], validate=False)  # H_e is a group
-    P = gpos[T[lam_arr[:, None], i_arr]]
+    i_arr, lam_arr, g_arr, GT, P, phi, psi = _rees_coordinates(S, e)
     if P.min() < 0:  # lam*i outside H_e
         raise BadSandwichEntry(f"sandwich entries must lie in [0,{g_arr.size})")
-    realized = FiniteSemigroup(_rees_table(i_arr.size, lam_arr.size, group.table, P), validate=False)
-    # (i, g, lam) -> i*g*lam, laid out in the realized index order
-    phi = SemigroupMorphism(realized, S, T[T[i_arr[:, None], g_arr][:, :, None], lam_arr].ravel())
-    g = gpos[T[T[e], e]]  # the position of ese in H_e
-    inv = g_arr[_group_inverses(group.table, gpos[e])[g]]  # (ese)^-1 in H_e, whose identity is e
-    i, lam = _positions(S.order, i_arr)[T[s, inv]], _positions(S.order, lam_arr)[T[inv, s]]
-    # -1 where a component lies outside its coordinate set, refused as OutOfRange
-    psi_map = np.where((i >= 0) & (lam >= 0), (i * g_arr.size + g) * lam_arr.size + lam, -1)
-    psi = SemigroupMorphism(S, realized, psi_map)
-    rms = ReesMatrixSemigroup(i_arr.size, lam_arr.size, group, P, realized)
+    realized = FiniteSemigroup(_rees_table(i_arr.size, lam_arr.size, GT, P), validate=False)
+    rms = ReesMatrixSemigroup(i_arr.size, lam_arr.size, FiniteSemigroup(GT, validate=False), P, realized)
+    phi, psi = SemigroupMorphism(realized, S, phi), SemigroupMorphism(S, realized, psi)  # psi's -1: OutOfRange
     return ReesDecomposition(S, e, *(tuple(a.tolist()) for a in (i_arr, lam_arr, g_arr)), rms, phi, psi)
+
+
+def _rees_coordinates(S: FiniteSemigroup, e: int):
+    """Arrays at the idempotent e of S, unchecked: I = Se∩E(S), Lambda =
+    eS∩E(S), H_e = Se∩eS, H_e's table, P(lam, i) = lam*i in H_e, phi's map
+    (i, g, lam) -> i*g*lam and psi's s -> (s(ese)^-1, ese, (ese)^-1 s), -1
+    where P or psi falls outside its coordinates."""
+    T, s = S.table, np.arange(S.order)
+    is_idem = T.diagonal() == s
+    se, es = (rows[e] for rows in _ideal_rows(S))  # Se = S^1 e, as e = ee
+    i_arr, lam_arr, g_arr = (np.flatnonzero(m) for m in (se & is_idem, es & is_idem, se & es))
+    gpos = _positions(S.order, g_arr)
+    GT, step = np.empty((g_arr.size, g_arr.size), dtype=np.int64), max(1, _BLOCK // S.order)
+    for a in range(0, g_arr.size, step):  # H_e's table, gathered in _BLOCK-sized slices
+        GT[a : a + step] = gpos[T[g_arr[a : a + step, None], g_arr]]
+    P = gpos[T[lam_arr[:, None], i_arr]]
+    phi = T[T[i_arr[:, None], g_arr][:, :, None], lam_arr].ravel()
+    g = gpos[T[T[e], e]]  # the position of ese in H_e
+    inv = g_arr[_group_inverses(GT, gpos[e])[g]]  # (ese)^-1 in H_e, whose identity is e
+    i, lam = _positions(S.order, i_arr)[T[s, inv]], _positions(S.order, lam_arr)[T[inv, s]]
+    psi = np.where((i >= 0) & (lam >= 0), (i * g_arr.size + g) * lam_arr.size + lam, -1)
+    return i_arr, lam_arr, g_arr, GT, P, phi, psi
 
 
 def _group_inverses(GT: np.ndarray, identity: int) -> np.ndarray:
@@ -180,7 +190,8 @@ class SubsemigroupDecomposition(NamedTuple):
 def subsemigroup_decompose(S: FiniteSemigroup, T: SubsetHandle) -> SubsemigroupDecomposition:
     """Classify a subsemigroup T of a completely simple S as
     M(J, W, Gamma, P restricted to Gamma x J), in T's own Rees coordinates
-    at its first idempotent."""
+    at its first idempotent, by re-tabling T: the oracle of the verify
+    harness, which reads J, W and Gamma off S's rows for every T at once."""
     if not is_completely_simple(S):
         raise NotCompletelySimple("subsemigroup_decompose requires completely simple S")
     sub, incl = subsemigroup_table(S, T.members)  # raises NotASubsemigroup

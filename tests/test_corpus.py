@@ -4,7 +4,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -26,8 +29,8 @@ from semikit.corpus import (
 )
 from semikit.core import max_order
 from semikit.greens import _labels
-from semikit.ideals import _minimal_ideal_table, kernel
-from semikit.simple import normalize_sandwich
+from semikit.ideals import _minimal_ideal_table, kernel, kernel_members
+from semikit.simple import _rees_coordinates, normalize_sandwich
 from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
 
 
@@ -591,18 +594,17 @@ def test_verify_reports_d_not_equal_j(monkeypatch, t2):
 
 
 def test_verify_reports_wrong_classification(monkeypatch, rb22):
-    # J and Gamma swapped: rb22 at e=0 has I = {0,2} but Lambda = {0,1}
-    real = corpus_mod.subsemigroup_decompose
+    # a row {0, 3} that is no subsemigroup: at e = 0 it has J = W = Gamma = {0}
+    real = corpus_mod._subsemigroup_masks
 
-    def swapped(S, T):
-        j, w, gamma, dec = real(S, T)
-        return gamma, w, j, dec
+    def with_bad_row(S):
+        bad = np.isin(np.arange(S.order), [0, 3])
+        return np.vstack((real(S), bad))
 
-    monkeypatch.setattr(corpus_mod, "subsemigroup_decompose", swapped)
+    monkeypatch.setattr(corpus_mod, "_subsemigroup_masks", with_bad_row)
     report = verify_suite([("rb22", rb22)])
     failed = {e.check: e.witness for e in report.failures}
-    assert set(failed) == {"subsemigroup_classification"}
-    assert failed["subsemigroup_classification"].startswith("J is not contained in I")
+    assert failed == {"subsemigroup_classification": "T is not J*W*Gamma at T=[0, 3]"}
 
 
 def ese_group_flipped_at_2(S, E):
@@ -646,7 +648,7 @@ def test_verify_reports_kernel_not_minimal(monkeypatch, t2):
     assert failed == {"kernel_unique_minimal": "kernel not minimal: 2 generates a smaller ideal"}
 
 
-@pytest.mark.parametrize("name", ["subsemigroup_decompose", "rees_decompose"])
+@pytest.mark.parametrize("name", ["_subsemigroup_masks", "_rees_coordinates"])
 def test_verify_records_value_error_without_aborting(monkeypatch, rb22, name):
     # a ValueError raised inside a check becomes that check's failure witness
     def broken(*args):
@@ -656,46 +658,47 @@ def test_verify_records_value_error_without_aborting(monkeypatch, rb22, name):
     report = verify_suite([("rb22", rb22)])
     assert len(report.entries) == len(corpus_mod.CHECKS)
     failed = {e.check: e.witness for e in report.failures}
-    expected = {"subsemigroup_classification"}
-    if name == "rees_decompose":
-        expected.add("kernel_rees_roundtrip")
+    expected = {
+        "_subsemigroup_masks": {"regular_green_restriction", "subsemigroup_classification"},
+        "_rees_coordinates": {"kernel_rees_roundtrip"},
+    }[name]
     assert set(failed) == expected
     assert set(failed.values()) == {"bad decomposition"}
 
 
-def psi_swapped_at_0_1(S, *args):
-    """rees_decompose with psi(0) and psi(1) exchanged."""
-    dec = sk.rees_decompose(S, *args)
-    psi = list(dec.psi.map)
-    psi[0], psi[1] = psi[1], psi[0]
-    return dataclasses.replace(dec, psi=sk.SemigroupMorphism(S, dec.rms.realized, tuple(psi)))
+def psi_swapped_at_0_1(S, e):
+    """_rees_coordinates with psi(0) and psi(1) exchanged."""
+    *fields, psi = _rees_coordinates(S, e)
+    return (*fields, psi[[1, 0, *range(2, len(psi))]])
 
 
-def phi_psi_conjugated_by_0_3(S, *args):
-    """rees_decompose with realized elements 0 and 3 exchanged in phi and
-    psi: still mutually inverse, but on RB(2,2) phi is no homomorphism."""
-    dec = sk.rees_decompose(S, *args)
-    tau = [3, 1, 2, 0]
-    phi = tuple(dec.phi.map[t] for t in tau)
-    psi = tuple(tau[x] for x in dec.psi.map)
-    return dataclasses.replace(
-        dec,
-        phi=sk.SemigroupMorphism(dec.rms.realized, S, phi),
-        psi=sk.SemigroupMorphism(S, dec.rms.realized, psi),
-    )
+def psi_undefined_at_3(S, e):
+    """_rees_coordinates with psi(3) undefined; on RB(2,2) phi is the
+    identity map, so phi's last entry is 3."""
+    *fields, psi = _rees_coordinates(S, e)
+    return (*fields, np.where(np.arange(len(psi)) == 3, -1, psi))
+
+
+def phi_psi_conjugated_by_0_3(S, e):
+    """_rees_coordinates with realized elements 0 and 3 exchanged in phi
+    and psi: still mutually inverse, but on RB(2,2) phi is no homomorphism."""
+    *fields, phi, psi = _rees_coordinates(S, e)
+    tau = np.array([3, 1, 2, 0])
+    return (*fields, phi[tau], tau[psi])
 
 
 @pytest.mark.parametrize(
     "broken, witness",
     [
         (psi_swapped_at_0_1, "phi(psi(s)) != s at s=0"),
+        (psi_undefined_at_3, "phi(psi(s)) != s at s=3"),
         (phi_psi_conjugated_by_0_3, "phi is not a homomorphism"),
     ],
-    ids=["psi_swapped", "phi_not_homomorphism"],
+    ids=["psi_swapped", "psi_undefined", "phi_not_homomorphism"],
 )
 def test_verify_reports_wrong_rees_roundtrip(monkeypatch, rb22, broken, witness):
-    # rees_decompose does not re-test its maps; the round-trip check does
-    monkeypatch.setattr(corpus_mod, "rees_decompose", broken)
+    # _rees_coordinates does not test its maps; the round-trip check does
+    monkeypatch.setattr(corpus_mod, "_rees_coordinates", broken)
     report = verify_suite([("rb22", rb22)])
     assert {e.check: e.witness for e in report.failures} == {"kernel_rees_roundtrip": witness}
 
@@ -708,3 +711,78 @@ def test_verify_suite_non_identity_sandwich(i_size, lambda_size, seed):
     assert (normalize_sandwich(rms) != sk.is_monoid(rms.group)).any()
     report = verify_suite([rms.realized])
     assert report.summary == {"pass": 14, "fail": 0}
+
+
+def twisted_m22():
+    """M(2, 2, Z2) with sandwich [[0, 0], [0, 1]]: (0,0,1)*(1,0,0) = (0,1,0)."""
+    return sk.rees_construct(2, 2, corpus_mod.resolve_group("z2"), [[0, 0], [0, 1]]).realized
+
+
+@pytest.mark.parametrize(
+    "build, row, witness",
+    [
+        (lambda: sk.gen_standard("cyclic", 3), [0, 1], "W is not a subgroup of H_e at T=[0, 1]"),
+        (twisted_m22, [0, 1, 4], "Gamma*J is not contained in W at T=[0, 1, 4]"),
+    ],
+    ids=["subgroup", "sandwich"],
+)
+def test_classification_names_the_first_false_statement(monkeypatch, build, row, witness):
+    # one row that is no subsemigroup, appended last, breaks the statement
+    # named; test_verify_reports_wrong_classification breaks T = J*W*Gamma
+    S, real = build(), corpus_mod._subsemigroup_masks
+    monkeypatch.setattr(
+        corpus_mod, "_subsemigroup_masks", lambda S: np.vstack((real(S), np.isin(np.arange(S.order), row))))
+    assert corpus_mod._check_subsemigroup_classification(S) == witness
+
+
+def test_classification_rows_match_subsemigroup_decompose(census5):
+    # J, W and Gamma read off S's rows at T's least idempotent are T's own
+    # Rees coordinates, found by re-tabling T, for every subsemigroup T
+    rees = [gen_random_rees(i, lam, "z2", seed).realized for i, lam, seed in ((2, 2, 1), (2, 3, 2), (3, 2, 3))]
+    for S in [S for S in census5 if sk.is_completely_simple(S)] + rees:
+        masks = corpus_mod._subsemigroup_masks(S)
+        e, *rows = corpus_mod._classification_rows(S, masks)
+        for t, mask in enumerate(masks):
+            T = sk.SubsetHandle(S, tuple(np.flatnonzero(mask).tolist()))
+            *parts, dec = sk.subsemigroup_decompose(S, T)
+            assert T.members[dec.e] == e[t]
+            assert [np.flatnonzero(r[t]).tolist() for r in rows] == [list(p.members) for p in parts]
+
+
+def test_rees_coordinates_on_s_match_the_kernel_copy(census5):
+    # S's coordinates at K's least idempotent are those of K re-tabled,
+    # mapped through the inclusion: S^1 e = Ke, eS^1 = eK
+    grid = [
+        gen_random_rees(i, lam, group, seed).realized
+        for group in ("trivial", "z2", "z3", "z4", "z2xz2", "s3")
+        for i in (1, 2, 3)
+        for lam in (1, 2, 3)
+        for seed in (1, 2)
+    ]
+    closures = [gen_transformation_closure(4, 3, seed) for seed in range(1, 6)]
+    for S in list(census5) + closures + grid:
+        K = kernel_members(S)
+        sub, incl = sk.subsemigroup_table(S, K)
+        dec, inc = sk.rees_decompose(sub), np.asarray(incl.map)
+        e = min(x for x in K if S.product(x, x) == x)
+        assert incl(dec.e) == e
+        *elements, GT, P, phi, psi = _rees_coordinates(S, e)
+        expected = (dec.i_elements, dec.lambda_elements, dec.group_elements, dec.phi.map)
+        assert [a.tolist() for a in (*elements, phi)] == [inc[list(x)].tolist() for x in expected]
+        assert GT.tolist() == dec.rms.group.table.tolist()
+        assert P.tolist() == dec.rms.sandwich.tolist()
+        assert psi[inc].tolist() == list(dec.psi.map)
+
+
+def test_kernel_rees_roundtrip_at_the_order_cap_stays_small():
+    # Z4096, in a fresh process: the round-trip reads S's own rows, with no
+    # re-tabled copy of K and no realized table kept whole
+    code = (
+        "import resource, semikit.corpus as c\n"
+        "assert c._check_kernel_rees_roundtrip(c.parse_descriptor('cyclic:4096')) is None\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 500 * 1024  # ru_maxrss is in KiB on Linux
