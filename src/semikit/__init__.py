@@ -64,7 +64,6 @@ from .simple import (
 )
 from .corpus import (
     VerificationReport,
-    canonical_form,
     census,
     fingerprint,
     gen_random_rees,

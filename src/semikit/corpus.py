@@ -41,9 +41,9 @@ from .greens import (
     is_stable,
 )
 from .ideals import (
+    _is_ideal,
     _minimal_ideal_table,
     _swelling_verdicts,
-    enumerate_ideals,
     kernel,
     kernel_members,
 )
@@ -61,10 +61,9 @@ from .simple import (
 CENSUS_LIMIT = 5
 RNG_ALGORITHM = "splitmix64"
 # The checks that walk every subsemigroup, or every nonempty subset as the
-# Swelling Lemma and the kernel's ideal-containment walk do, skip larger
-# semigroups.  The walk costs per subsemigroup, and a left-zero band of
-# order n has 2^n - 1 of them: verify_suite takes about 2.5 s on L12, 12 s
-# on L14 and 61 s on L16.
+# Swelling Lemma does, skip larger semigroups.  The walk costs per
+# subsemigroup, and a left-zero band of order n has 2^n - 1 of them:
+# verify_suite takes about 2.5 s on L12, 12 s on L14 and 61 s on L16.
 SUBSEMIGROUP_CHECK_LIMIT = 12
 SKIP = object()  # what a check returns when it checked nothing
 
@@ -300,21 +299,6 @@ def gen_transformation_closure(degree: int, n_maps: int, seed: int) -> FiniteSem
 # census up to isomorphism
 
 
-def canonical_form(S: FiniteSemigroup, fold_opposites: bool = False) -> tuple[int, ...]:
-    """Lexicographically minimal flattened table over all relabelings (of
-    the table and, with fold_opposites, of its transpose)."""
-    tables = (S.table, S.table.T) if fold_opposites else (S.table,)
-    flat = np.array([t.ravel() for t in tables])
-    perms, best = itertools.permutations(range(S.order)), None
-    step = max(1, _BLOCK // flat.size)  # relabellings per chunk
-    while chunk := list(itertools.islice(perms, step)):
-        rel = _relabel(flat, np.array(chunk)).reshape(-1, S.order**2)
-        least = rel[np.lexsort(rel.T[::-1])[0]]
-        if best is None or _lex_less(least, best):
-            best = least
-    return tuple(best.tolist())
-
-
 def _relabel(flat: np.ndarray, perms: np.ndarray, width: Optional[int] = None) -> np.ndarray:
     """out[t, p]: row-major table flat[t] with each x renamed perms[p, x],
     cut to ``width`` cells; an unknown entry (-1) reads as n, above all."""
@@ -476,14 +460,23 @@ def _check_idempotent_existence(S):
 
 
 def _check_kernel(S):
+    """K is the least ideal: an ideal, S^1 k S^1 at its least member k, and
+    inside every S^1 x S^1, as k lies there, so inside every ideal.  An x
+    outside K whose ideal misses k is the uniqueness witness, reported last."""
     report = kernel(S)
-    K = report.kernel.members
+    K = list(report.kernel.members)
+    left, right = pair = _ideal_rows(S)
+    if not all(_is_ideal(rows, K) for rows in pair):
+        return "kernel is not an ideal"
+    k = K[0]
     in_kernel = np.zeros(S.order, dtype=bool)
-    in_kernel[list(K)] = True
-    # row i: the ideal S^1 x S^1 that x = K[i] generates
-    smaller = (_two_sided_rows(_ideal_rows(S), list(K)) != in_kernel).any(axis=1)
+    in_kernel[K] = True
+    if (_two_sided_rows(pair, [k])[0] != in_kernel).any():
+        return f"kernel is not S^1 k S^1 at k={k}"
+    misses = ~(right & left[:, k]).any(axis=1)  # [x]: k not in S^1 x S^1
+    smaller = misses & in_kernel
     if smaller.any():
-        return f"kernel not minimal: {K[int(smaller.argmax())]} generates a smaller ideal"
+        return f"kernel not minimal: {int(smaller.argmax())} generates a smaller ideal"
     if not report.idempotents:
         return "kernel has no idempotent"
     for e, verdict in report.witnesses.items():
@@ -491,12 +484,10 @@ def _check_kernel(S):
             return f"minimal-ideal proposition fails at e={e} in E(K): {tuple(verdict)}"
     for part, side in ((report.min_left, "left"), (report.min_right, "right")):
         members = [x for h in part for x in h.members]
-        if sorted(members) != list(K):
+        if sorted(members) != K:
             return f"minimal {side} ideals do not partition K"
-    if S.order <= SUBSEMIGROUP_CHECK_LIMIT:
-        for ideal in enumerate_ideals(S):
-            if not set(K) <= set(ideal):
-                return f"ideal {ideal} does not contain K"
+    if misses.any():
+        return f"S^1 x S^1 does not contain K at x={int(misses.argmax())}"
 
 
 def _check_minimal_ideal_equivalences(S):

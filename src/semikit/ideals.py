@@ -23,7 +23,7 @@ from .errors import (
     NotIdempotent,
     SearchCapExceeded,
 )
-from .greens import _ideal_rows, _two_sided_rows, _two_sided_slices
+from .greens import _ideal_rows, _two_sided_rows
 
 
 def _is_ideal(rows: np.ndarray, members) -> bool:
@@ -68,7 +68,9 @@ class MinimalIdealVerdict(NamedTuple):
 def minimal_ideal_equivalences(S: FiniteSemigroup, e: int) -> MinimalIdealVerdict:
     """Evaluate, independently, the four statements (Se minimal left ideal;
     eSe a group; eS minimal right ideal; K = SeS).  They agree on every
-    finite semigroup; the verify harness checks that they do."""
+    finite semigroup; the verify harness checks that they do.  K = SeS is
+    read as e in K, which relies on K being the least ideal; the check
+    kernel_unique_minimal replays that."""
     _check_element(S, e)
     if S.product(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent")
@@ -78,27 +80,23 @@ def minimal_ideal_equivalences(S: FiniteSemigroup, e: int) -> MinimalIdealVerdic
 def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For the idempotents E: the membership rows of Se and eS, and the
     len(E)×4 bool table of minimal_ideal_equivalences at each e, every
-    statement decided on its own from the kept principal-ideal pair: SeS is
-    S^1 e S^1, read through _two_sided_slices like every principal two-sided
-    ideal.  All four are decided in the slices of _BLOCK // n idempotents in
-    which it yields the SeS rows."""
-    n = S.order
+    statement decided on its own from the kept principal-ideal pair in one
+    pass over E.  SeS = S^1 e S^1 (as e = eee) is an ideal holding e, so it
+    is K, the least ideal, exactly when e lies in K: statement 4 relies on
+    K being least, which the check kernel_unique_minimal replays."""
     E = np.asarray(E, dtype=np.int64)
-    left, right = pair = _ideal_rows(S)  # row x: S^1 x, x S^1
+    left, right = _ideal_rows(S)  # row x: S^1 x, x S^1
     se, es = left[E], right[E]
-    in_kernel = np.zeros(n, dtype=bool)
-    in_kernel[list(kernel_members(S))] = True
-    table = np.empty((len(E), 4), dtype=bool)
-    for a, ses in _two_sided_slices(pair, E):  # SeS = S^1 e S^1, as e = eee
-        b = a + len(ses)
-        sl, sr, t, e = se[a:b], es[a:b], table[a:b], E[a:b]
-        back_l, back_r = left[:, e].T, right[:, e].T  # [i, x]: e_i in S^1 x, in x S^1
+    back_l, back_r = left[:, E].T, right[:, E].T  # [i, x]: e_i in S^1 x, in x S^1
+    table = np.stack((
         # S^1 x lies in Se for x in Se, so Se is minimal iff each such S^1 x holds e
-        t[:, 0], t[:, 2] = ~(sl & ~back_l).any(axis=1), ~(sr & ~back_r).any(axis=1)
+        ~(se & ~back_l).any(axis=1),
         # eSe = eS ∩ Se is a group iff e is in uS^1 and S^1 u for each u in it:
         # from e = ut, u·ete = e with ete in eSe (a left inverse dually)
-        t[:, 1] = ~(sl & sr & ~(back_l & back_r)).any(axis=1)
-        t[:, 3] = (ses == in_kernel).all(axis=1)
+        ~(se & es & ~(back_l & back_r)).any(axis=1),
+        ~(es & ~back_r).any(axis=1),
+        np.isin(E, kernel_members(S)),
+    ), axis=1)
     return se, es, table
 
 

@@ -96,7 +96,7 @@ def test_adjoin_identity_l2(l2):
 
 
 def test_direct_product_identity_factor(trivial, l2):
-    from semikit.corpus import canonical_form
+    from test_corpus import canonical_form
 
     P = sk.direct_product(trivial, l2)
     assert canonical_form(P) == canonical_form(l2)

@@ -19,7 +19,8 @@ import semikit as sk
 from semikit import corpus as corpus_mod
 from semikit.corpus import (
     SplitMix64,
-    canonical_form,
+    _lex_less,
+    _relabel,
     census,
     fingerprint,
     gen_random_rees,
@@ -27,7 +28,7 @@ from semikit.corpus import (
     parse_descriptor,
     verify_suite,
 )
-from semikit.core import max_order
+from semikit.core import _BLOCK, max_order
 from semikit.greens import _labels
 from semikit.ideals import _minimal_ideal_table, kernel, kernel_members
 from semikit.simple import _rees_coordinates, normalize_sandwich
@@ -303,6 +304,22 @@ def associative_tables_oracle(n):
 
     rec(0)
     return out
+
+
+def canonical_form(S, fold_opposites=False):
+    """Lexicographically minimal flattened table over all relabelings (of
+    the table and, with fold_opposites, of its transpose): the isomorphism
+    oracle, walking all n! relabellings in chunks of _BLOCK cells."""
+    tables = (S.table, S.table.T) if fold_opposites else (S.table,)
+    flat = np.array([t.ravel() for t in tables])
+    perms, best = itertools.permutations(range(S.order)), None
+    step = max(1, _BLOCK // flat.size)  # relabellings per chunk
+    while chunk := list(itertools.islice(perms, step)):
+        rel = _relabel(flat, np.array(chunk)).reshape(-1, S.order**2)
+        least = rel[np.lexsort(rel.T[::-1])[0]]
+        if best is None or _lex_less(least, best):
+            best = least
+    return tuple(best.tolist())
 
 
 def order_counts(semigroups, max_order):
@@ -648,6 +665,46 @@ def test_verify_reports_kernel_not_minimal(monkeypatch, t2):
     assert failed == {"kernel_unique_minimal": "kernel not minimal: 2 generates a smaller ideal"}
 
 
+def chain16():
+    """The chain semilattice min(i, j) of order 16, above the subset walks'
+    limit; its kernel is {0}."""
+    i = np.arange(16)
+    return sk.FiniteSemigroup(np.minimum.outer(i, i), validate=False)
+
+
+@pytest.mark.parametrize(
+    "members, witness",
+    [((1,), "kernel is not an ideal"), ((0, 1), "kernel is not S^1 k S^1 at k=0")],
+    ids=["not_an_ideal", "not_principal"],
+)
+def test_verify_reports_kernel_not_least(monkeypatch, members, witness):
+    # a kernel() that reports a wrong K on the chain: min(1, 0) = 0 puts {1}
+    # outside the ideals, and the ideal {0, 1} is larger than S^1 0 S^1 = {0}
+    real = corpus_mod.kernel
+    monkeypatch.setattr(
+        corpus_mod, "kernel", lambda S: dataclasses.replace(real(S), kernel=sk.SubsetHandle(S, members))
+    )
+    report = verify_suite([("chain16", chain16())])
+    failed = {e.check: e.witness for e in report.failures}
+    assert failed == {"kernel_unique_minimal": witness}
+
+
+def test_verify_reports_ideal_missing_kernel_above_order_12(monkeypatch):
+    # both rows of x = 5 cut to {5}: then S^1 5 S^1 = {5} misses K = {0};
+    # at order 16, above the subset walks' limit, uniqueness is still checked
+    real = corpus_mod._ideal_rows
+
+    def cut(S):
+        left, right = (rows.copy() for rows in real(S))
+        left[5] = right[5] = np.arange(S.order) == 5
+        return left, right
+
+    monkeypatch.setattr(corpus_mod, "_ideal_rows", cut)
+    report = verify_suite([("chain16", chain16())])
+    failed = {e.check: e.witness for e in report.failures}
+    assert failed == {"kernel_unique_minimal": "S^1 x S^1 does not contain K at x=5"}
+
+
 @pytest.mark.parametrize("name", ["_subsemigroup_masks", "_rees_coordinates"])
 def test_verify_records_value_error_without_aborting(monkeypatch, rb22, name):
     # a ValueError raised inside a check becomes that check's failure witness
@@ -774,6 +831,15 @@ def test_rees_coordinates_on_s_match_the_kernel_copy(census5):
         assert psi[inc].tolist() == list(dec.psi.map)
 
 
+def child_stdout(code):
+    """Run code in a fresh interpreter on this semikit and return its stdout;
+    the child reports its own figures, as RUSAGE_CHILDREN would give the
+    maximum over every child this process has reaped."""
+    src = os.path.dirname(os.path.dirname(sk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_kernel_rees_roundtrip_at_the_order_cap_stays_small():
     # Z4096, in a fresh process: the round-trip reads S's own rows, with no
     # re-tabled copy of K and no realized table kept whole
@@ -782,7 +848,23 @@ def test_kernel_rees_roundtrip_at_the_order_cap_stays_small():
         "assert c._check_kernel_rees_roundtrip(c.parse_descriptor('cyclic:4096')) is None\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    src = os.path.dirname(os.path.dirname(sk.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 500 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(child_stdout(code)) < 500 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_kernel_statements_at_the_order_cap_stay_fast_and_small():
+    # RB(64,64), in a fresh process: all 4,096 elements are kernel
+    # idempotents, so the minimal-ideal table has 4,096 rows, and the kernel
+    # check reads one S^1 k S^1 row and one membership pass, not a product
+    # over the rows of E or of K
+    code = (
+        "import resource, time, semikit.corpus as c\n"
+        "from semikit.ideals import kernel\n"
+        "S = c.parse_descriptor('rect_band:64,64')\n"
+        "start = time.perf_counter()\n"
+        "assert len(kernel(S).idempotents) == 4096\n"
+        "assert c._check_kernel(S) is None and c._check_minimal_ideal_equivalences(S) is None\n"
+        "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    seconds, rss = child_stdout(code).split()
+    assert float(seconds) < 3
+    assert int(rss) < 500 * 1024  # ru_maxrss is in KiB on Linux

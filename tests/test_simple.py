@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import semikit as sk
 from semikit import simple
 from semikit.core import associativity_witness
-from semikit.corpus import _GROUPS, canonical_form, gen_random_rees, resolve_group
+from semikit.corpus import _GROUPS, gen_random_rees, resolve_group
 from semikit.errors import (
     BadSandwichEntry,
     NotAGroup,
@@ -17,6 +17,7 @@ from semikit.errors import (
 )
 from semikit.ideals import kernel_members
 from semikit.simple import dumps_rms, loads_rms, normalize_sandwich
+from test_corpus import canonical_form
 
 
 def test_is_simple(z3, rb22, t2):
