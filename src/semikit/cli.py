@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from . import corpus as corpus_mod
 from .core import SubsetHandle, center, idempotents, is_cancellative, is_group, is_monoid, read_sg, write_sg, dumps_sg
@@ -28,16 +29,18 @@ from .simple import (
 )
 
 
-def _emit(args, doc: dict, human: str) -> None:
+def _emit(args, doc: dict, human: Callable[[], str]) -> None:
+    """Write doc in structured mode, else the text human() renders, so the
+    text is only built when it is printed."""
     if args.format == "structured":
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        sys.stdout.write(human + "\n")
+        sys.stdout.write(human() + "\n")
 
 
 def _cmd_validate(args) -> int:
     S = read_sg(args.file)
-    _emit(args, {"order": S.order, "associative": True}, f"associative, order {S.order}")
+    _emit(args, {"order": S.order, "associative": True}, lambda: f"associative, order {S.order}")
     return 0
 
 
@@ -60,19 +63,19 @@ def _cmd_report(args) -> int:
         "is_rectangular_band": bands.is_rectangular_band,
         "is_rectangular_group": bands.is_rectangular_group,
     }
-    human = "\n".join(f"{k}: {v}" for k, v in doc.items())
-    _emit(args, doc, human)
+    _emit(args, doc, lambda: "\n".join(f"{k}: {v}" for k, v in doc.items()))
     return 0
+
+
+def _braces(members) -> str:
+    return "{" + ",".join(str(x) for x in members) + "}"
 
 
 def _eggbox_ascii(G) -> str:
     lines = []
     for box in G.eggbox:
         lines.append(f"D-class {box.d_id}:")
-        rendered = [
-            ["{" + ",".join(str(x) for x in cell) + "}" for cell in row]
-            for row in box.cells
-        ]
+        rendered = [[_braces(cell) for cell in row] for row in box.cells]
         width = max(len(s) for row in rendered for s in row)
         for row in rendered:
             lines.append("  " + " | ".join(s.ljust(width) for s in row))
@@ -85,25 +88,25 @@ def _cmd_greens(args) -> int:
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(eggbox_dot(G))
-    _emit(args, G.to_dict(), _eggbox_ascii(G))
+    _emit(args, G.to_dict(), lambda: _eggbox_ascii(G))
     return 0
 
 
-def _cmd_kernel(args) -> int:
-    S = read_sg(args.file)
-    report = kernel(S)
-    doc = report.to_dict()
-    human_lines = [
-        "K = {" + ",".join(str(x) for x in report.kernel.members) + "}",
-        "E(K) = {" + ",".join(str(x) for x in report.idempotents) + "}",
-        "minimal left ideals: "
-        + " ".join("{" + ",".join(str(x) for x in h.members) + "}" for h in report.min_left),
-        "minimal right ideals: "
-        + " ".join("{" + ",".join(str(x) for x in h.members) + "}" for h in report.min_right),
+def _kernel_text(report) -> str:
+    lines = [
+        f"K = {_braces(report.kernel.members)}",
+        f"E(K) = {_braces(report.idempotents)}",
+        "minimal left ideals: " + " ".join(_braces(h.members) for h in report.min_left),
+        "minimal right ideals: " + " ".join(_braces(h.members) for h in report.min_right),
     ]
     for e, v in sorted(report.witnesses.items()):
-        human_lines.append(f"e={e}: Se-minimal={v[0]} eSe-group={v[1]} eS-minimal={v[2]} K=SeS={v[3]}")
-    _emit(args, doc, "\n".join(human_lines))
+        lines.append(f"e={e}: Se-minimal={v[0]} eSe-group={v[1]} eS-minimal={v[2]} K=SeS={v[3]}")
+    return "\n".join(lines)
+
+
+def _cmd_kernel(args) -> int:
+    report = kernel(read_sg(args.file))
+    _emit(args, report.to_dict(), lambda: _kernel_text(report))
     return 0
 
 
@@ -122,7 +125,7 @@ def _cmd_decompose(args) -> int:
         "psi": list(dec.psi.map),
         "closed_form_inverse_agrees": all(dec.closed_form_agreement),
     }
-    human = "\n".join(
+    _emit(args, doc, lambda: "\n".join(
         [
             f"base idempotent e = {dec.e}",
             f"I = {list(dec.i_elements)}",
@@ -131,8 +134,7 @@ def _cmd_decompose(args) -> int:
             f"sandwich P = {[list(map(int, row)) for row in dec.rms.sandwich]}",
             f"closed-form inverse agrees: {all(dec.closed_form_agreement)}",
         ]
-    )
-    _emit(args, doc, human)
+    ))
     return 0
 
 
@@ -145,14 +147,14 @@ def _cmd_quotient(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        _emit(args, {"order": Q.order, "projection": list(pi.map)}, f"quotient order {Q.order} written to {args.output}")
+        _emit(args, {"order": Q.order, "projection": list(pi.map)}, lambda: f"quotient order {Q.order} written to {args.output}")
     else:
         doc = {
             "order": Q.order,
             "table": [[int(v) for v in row] for row in Q.table],
             "projection": list(pi.map),
         }
-        _emit(args, doc, text.rstrip("\n"))
+        _emit(args, doc, lambda: text.rstrip("\n"))
     return 0
 
 
@@ -160,17 +162,14 @@ def _cmd_subsemigroups(args) -> int:
     S = read_sg(args.file)
     subs = enumerate_subsemigroups(S, cap=args.cap)
     doc = {"count": len(subs), "subsemigroups": [list(h.members) for h in subs]}
-    human = f"{len(subs)} subsemigroups:\n" + "\n".join(
-        "{" + ",".join(str(x) for x in h.members) + "}" for h in subs
-    )
-    _emit(args, doc, human)
+    _emit(args, doc, lambda: f"{len(subs)} subsemigroups:\n" + "\n".join(_braces(h.members) for h in subs))
     return 0
 
 
 def _cmd_gen(args) -> int:
     S = corpus_mod.parse_descriptor(args.descriptor)
     write_sg(S, args.output)
-    _emit(args, {"order": S.order, "path": args.output}, f"wrote order-{S.order} table to {args.output}")
+    _emit(args, {"order": S.order, "path": args.output}, lambda: f"wrote order-{S.order} table to {args.output}")
     return 0
 
 
@@ -194,12 +193,14 @@ def _cmd_census(args) -> int:
     _emit(
         args,
         {"count": len(instances), "fingerprint": manifest["fingerprint"]},
-        f"{len(instances)} semigroups written to {args.output}",
+        lambda: f"{len(instances)} semigroups written to {args.output}",
     )
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.corpus and args.file:
+        raise SemigroupError("verify takes --corpus DIR or a file, not both")
     if args.corpus:
         files = sorted(
             f for f in os.listdir(args.corpus) if f.endswith(".sg")

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as quote
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -42,6 +43,7 @@ from .greens import (
 )
 from .ideals import (
     _is_ideal,
+    _kernel_row,
     _minimal_ideal_table,
     _swelling_verdicts,
     kernel,
@@ -424,6 +426,16 @@ class CheckResult:
         return {"semigroup": self.semigroup, "check": self.check, "status": self.status, "witness": self.witness}
 
 
+# One report entry as json.dumps(indent=2, sort_keys=True) lays it out,
+# each %s a JSON string or null.
+_ENTRY = """    {
+      "check": %s,
+      "semigroup": %s,
+      "status": %s,
+      "witness": %s
+    }"""
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     entries: tuple[CheckResult, ...]
@@ -445,13 +457,21 @@ class VerificationReport:
         return counts
 
     def to_json(self) -> str:
-        doc = {
-            "fingerprint": self.fingerprint,
-            "rng_algorithm": self.rng_algorithm,
-            "summary": self.summary,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        """The bytes of json.dumps(doc, indent=2, sort_keys=True) + "\\n" for
+        doc = the head plus "entries", the entries' to_dict.  "entries" sorts
+        first; each entry is one _ENTRY over json's C string encoder, as the
+        indenting encoder is pure Python."""
+        head = json.dumps(
+            {"fingerprint": self.fingerprint, "rng_algorithm": self.rng_algorithm, "summary": self.summary},
+            indent=2, sort_keys=True,
+        )
+        entries = ",\n".join(
+            _ENTRY % (quote(e.check), quote(e.semigroup), quote(e.status),
+                      "null" if e.witness is None else quote(e.witness))
+            for e in self.entries
+        )
+        body = f"[\n{entries}\n  ]" if entries else "[]"
+        return f'{{\n  "entries": {body},\n{head[2:]}\n'
 
 
 def _check_idempotent_existence(S):
@@ -560,7 +580,7 @@ def _check_kernel_rees_roundtrip(S):
     Ke; so too eS^1 = eK and eS^1 e = eKe.  Witnesses name elements of S."""
     T, K = S.table, np.asarray(kernel_members(S))
     is_idem = T.diagonal() == np.arange(S.order)
-    E = K[is_idem[K]]  # E(K), ascending
+    E = np.flatnonzero(_kernel_row(S) & is_idem)  # E(K), ascending
     left, right = _ideal_rows(S)  # f <= g, f = fg = gf, puts f in S^1 g ∩ g S^1
     if ((left[E] & right[E] & is_idem).sum(axis=1) > 1).all():
         return "kernel has no primitive idempotent"

@@ -95,19 +95,28 @@ def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray,
         # from e = ut, u·ete = e with ete in eSe (a left inverse dually)
         ~(se & es & ~(back_l & back_r)).any(axis=1),
         ~(es & ~back_r).any(axis=1),
-        np.isin(E, kernel_members(S)),
+        _kernel_row(S)[E],
     ), axis=1)
     return se, es, table
 
 
 @_derived
-def kernel_members(S: FiniteSemigroup) -> tuple[int, ...]:
-    """The unique minimal ideal K = S^1 z S^1, once per semigroup: z, the
-    product of all elements, lies in every principal ideal, hence in K."""
+def _kernel_row(S: FiniteSemigroup) -> np.ndarray:
+    """The unique minimal ideal K = S^1 z S^1, once per semigroup, as a
+    read-only bool membership row: z, the product of all elements, lies in
+    every principal ideal, hence in K."""
     T, z = S.table, 0
     for x in range(1, S.order):
         z = T[z, x]
-    return tuple(np.flatnonzero(_two_sided_rows(_ideal_rows(S), [z])[0]).tolist())
+    row = _two_sided_rows(_ideal_rows(S), [z])[0]
+    row.setflags(write=False)
+    return row
+
+
+@_derived
+def kernel_members(S: FiniteSemigroup) -> tuple[int, ...]:
+    """The members of K, ascending, read off the kept row."""
+    return tuple(np.flatnonzero(_kernel_row(S)).tolist())
 
 
 @dataclass(frozen=True)
@@ -133,19 +142,19 @@ class KernelReport:
 def kernel(S: FiniteSemigroup) -> KernelReport:
     """Kernel K with its idempotents and the minimal one-sided ideals
     Se / eS for e in E(K)."""
-    K = np.asarray(kernel_members(S), dtype=np.int64)
-    ek = K[S.table[K, K] == K]
+    ek = np.flatnonzero(_kernel_row(S) & (S.table.diagonal() == np.arange(S.order)))
     se, es, table = _minimal_ideal_table(S, ek)
     witnesses = dict(zip(ek.tolist(), (MinimalIdealVerdict(*row) for row in table.tolist())))
     min_left, min_right = (tuple(SubsetHandle(S, m) for m in _distinct_members(rows)) for rows in (se, es))
-    return KernelReport(SubsetHandle(S, tuple(K.tolist())), tuple(ek.tolist()), witnesses, min_left, min_right)
+    return KernelReport(SubsetHandle(S, kernel_members(S)), tuple(ek.tolist()), witnesses, min_left, min_right)
 
 
 def _distinct_members(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """The distinct rows of a bool membership array as sorted member tuples."""
-    keys = np.packbits(rows, axis=1)
-    first = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True)[1]
-    return sorted(tuple(np.flatnonzero(row).tolist()) for row in rows[first])
+    """The distinct rows of a bool membership array as sorted member tuples.
+    Rows are told apart by their bytes first, so each distinct row is listed
+    once however many rows repeat it (Se = S for all e in a left-zero S)."""
+    distinct = {row.tobytes(): row for row in rows}
+    return sorted(tuple(np.flatnonzero(row).tolist()) for row in distinct.values())
 
 
 def enumerate_ideals(S: FiniteSemigroup) -> list[tuple[int, ...]]:

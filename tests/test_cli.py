@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semikit as sk
+from semikit import cli as cli_mod
 from semikit import corpus as corpus_mod
 from semikit.cli import main
 from semikit.corpus import gen_random_rees
@@ -282,6 +283,29 @@ def test_verify_single_file(z3_file, capsys):
     assert main(["--format", "structured", "verify", z3_file]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_verify_refuses_file_with_corpus(z3_file, tmp_path, capsys, exists):
+    # a FILE beside --corpus DIR is refused, not silently dropped, even a
+    # missing FILE beside an empty DIR
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    path = z3_file if exists else str(tmp_path / "a.sg")
+    assert main(["verify", path, "--corpus", str(empty)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not both" in out.err
+
+
+def test_structured_mode_renders_no_human_text(monkeypatch, pb_file, capsys):
+    def refuse(*args):
+        raise AssertionError("human text rendered in structured mode")
+
+    monkeypatch.setattr(cli_mod, "_eggbox_ascii", refuse)
+    assert main(["--format", "structured", "greens", pb_file]) == 0
+    assert json.loads(capsys.readouterr().out)["d_classes"]
+    with pytest.raises(AssertionError, match="human text"):
+        main(["greens", pb_file])
 
 
 def test_verify_text_line_names_skips(z3_file, tmp_path, capsys):

@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 import semikit as sk
 from semikit import corpus as corpus_mod
 from semikit.corpus import (
+    CheckResult,
     SplitMix64,
+    VerificationReport,
     _lex_less,
     _relabel,
     census,
@@ -594,6 +596,36 @@ def test_verify_report_json_roundtrip(z3):
     assert doc["summary"]["fail"] == 0
     assert all(set(e) >= {"check", "status", "witness"} for e in doc["entries"])
     assert doc["rng_algorithm"] == "splitmix64"
+
+
+def json_oracle(report):
+    """The report as the indenting json encoder writes it."""
+    doc = {
+        "fingerprint": report.fingerprint,
+        "rng_algorithm": report.rng_algorithm,
+        "summary": report.summary,
+        "entries": [e.to_dict() for e in report.entries],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_json_matches_json_dumps(census4):
+    # the census, an empty report ("entries": []) and Z13's skip entries
+    for report in (verify_suite(census4), verify_suite([]), verify_suite([sk.gen_standard("cyclic", 13)])):
+        assert report.to_json() == json_oracle(report)
+    assert '"entries": [],' in verify_suite([]).to_json()
+
+
+def test_report_json_escapes_like_json_dumps():
+    entries = (
+        CheckResult('a "quoted" name', "kernel_unique_minimal", "fail", 'back\\slash, "quote"\nnew line'),
+        CheckResult("S¹ x S¹", "stability", "fail", "S^1 x S^1 ≠ S¹xS¹\t\x00\u2028 é 😀"),
+        CheckResult("plain", "stability", "skip"),
+        CheckResult("plain", "stability", "pass"),
+    )
+    report = VerificationReport(entries, fingerprint="f")
+    assert report.to_json() == json_oracle(report)
+    assert json.loads(report.to_json())["entries"][1]["witness"] == entries[1].witness
 
 
 def test_verify_reports_d_not_equal_j(monkeypatch, t2):

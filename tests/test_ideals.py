@@ -126,10 +126,31 @@ def test_minimal_ideal_table_matches_oracle(census5, seeded_closures):
         se, es, table = _minimal_ideal_table(S, E)
         for i, e in enumerate(E):
             assert tuple(table[i].tolist()) == minimal_ideal_oracle(S, e), (S.name, e)
+            assert table[i, 3] == (e in kernel_members(S)), (S.name, e)  # K = SeS iff e in K
             assert se[i].nonzero()[0].tolist() == right_ideal_members(S.table.T, e).tolist()
             assert es[i].nonzero()[0].tolist() == right_ideal_members(S.table, e).tolist()
         rows |= set(map(tuple, table.tolist()))
     assert rows == {(True,) * 4, (False,) * 4}
+
+
+def one_sided_classes(T, members):
+    """Oracle: the members grouped by their principal ideal x S^1, one
+    element at a time; over T.T the ideal is S^1 x, so the groups are the
+    L-classes, over T the R-classes."""
+    classes = {}
+    for x in members:
+        classes.setdefault(tuple(right_ideal_members(T, x).tolist()), []).append(x)
+    return sorted(tuple(c) for c in classes.values())
+
+
+def test_minimal_ideals_are_the_green_classes_in_the_kernel(census5, seeded_closures):
+    # Se = L_e for e in E(K), as K is completely simple: the minimal left
+    # ideals are the L-classes inside K, the minimal right ideals its R-classes
+    for S in list(census5) + seeded_closures:
+        report = sk.kernel(S)
+        K = report.kernel.members
+        assert [h.members for h in report.min_left] == one_sided_classes(S.table.T, K), S.name
+        assert [h.members for h in report.min_right] == one_sided_classes(S.table, K), S.name
 
 
 def test_minimal_ideal_equivalences_is_a_table_row(census4):
