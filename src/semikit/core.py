@@ -434,6 +434,17 @@ def monogenic(S: FiniteSemigroup, s: int) -> MonogenicResult:
     return MonogenicResult(handle, index, period, e)
 
 
+def _cyclic_rows(S: FiniteSemigroup) -> np.ndarray:
+    """n×n bool, row s the membership row of <s>: p[s] = s^k for every s at
+    once, one gather per power, until every power has repeated."""
+    s = np.arange(S.order)
+    rows, p = np.zeros((S.order, S.order), dtype=bool), s
+    while not rows[s, p].all():
+        rows[s, p] = True
+        p = S.table[p, s]
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # re-tabling
 

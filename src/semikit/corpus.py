@@ -18,6 +18,7 @@ from .core import (
     _MAPS_BUDGET,
     FiniteSemigroup,
     _check_order,
+    _cyclic_rows,
     _decimal_rows,
     direct_product,
     from_table,
@@ -25,7 +26,6 @@ from .core import (
     is_cancellative,
     is_group,
     is_monoid,
-    monogenic,
 )
 from .errors import (
     CensusLimitExceeded,
@@ -50,13 +50,13 @@ from .ideals import (
     kernel_members,
 )
 from .simple import (
+    _group_inverses,
+    _product_rows,
     _rees_coordinates,
     _rees_table,
     _subsemigroup_masks,
-    enumerate_subsemigroups,
     is_completely_simple,
     rees_construct,
-    subsemigroup_of_group_check,
     ReesMatrixSemigroup,
 )
 
@@ -491,7 +491,7 @@ def _check_kernel(S):
     k = K[0]
     in_kernel = np.zeros(S.order, dtype=bool)
     in_kernel[K] = True
-    if (_two_sided_rows(pair, [k])[0] != in_kernel).any():
+    if (left[right[k]].any(axis=0) != in_kernel).any():  # S^1 y over y in k S^1
         return f"kernel is not S^1 k S^1 at k={k}"
     misses = ~(right & left[:, k]).any(axis=1)  # [x]: k not in S^1 x S^1
     smaller = misses & in_kernel
@@ -535,9 +535,11 @@ def _check_subsemigroups_of_groups(S):
         return None
     if S.order > SUBSEMIGROUP_CHECK_LIMIT:
         return SKIP
-    for T in enumerate_subsemigroups(S):
-        if not subsemigroup_of_group_check(S, T):
-            return f"subsemigroup {list(T.members)} of a group is not a subgroup"
+    masks, identity = _subsemigroup_masks(S), is_monoid(S)
+    # a subgroup holds the identity and, with each member x, its inverse
+    bad = ~masks[:, identity] | (masks & ~masks[:, _group_inverses(S.table, identity)]).any(axis=1)
+    if bad.any():
+        return f"subsemigroup {np.flatnonzero(masks[bad.argmax()]).tolist()} of a group is not a subgroup"
 
 
 def _check_swelling(S):
@@ -618,14 +620,6 @@ def _classification_rows(S, masks):
     return e, masks & se & is_idem, masks & se & es, masks & es & is_idem
 
 
-def _product_rows(table, A, B):
-    """Per row t, the membership row of the product set A[t]*B[t]."""
-    t, a, b = np.nonzero(A[:, :, None] & B[:, None, :])
-    out = np.zeros_like(A)
-    out[t, table[a, b]] = True
-    return out
-
-
 def _check_subsemigroup_classification(S):
     """Every subsemigroup T of a completely simple S is M(J, W, Gamma, P
     restricted), at T's least idempotent e: W is a subgroup of H_e, Gamma*J
@@ -662,14 +656,12 @@ def _check_stability(S):
 
 
 def _check_monogenic_idempotent(S):
-    for s in range(S.order):
-        result = monogenic(S, s)
-        e = result.idempotent
-        if S.product(e, e) != e or e not in result.subset:
-            return f"computed idempotent {e} of <{s}> is not an idempotent of <{s}>"
-        idems = [x for x in result.subset if S.product(x, x) == x]
-        if len(idems) != 1:
-            return f"<{s}> has {len(idems)} idempotents"
+    """Each <s> holds exactly one idempotent, counted in every row of
+    _cyclic_rows at once; the witness names the least failing s."""
+    counts = _cyclic_rows(S)[:, S.table.diagonal() == np.arange(S.order)].sum(axis=1)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        return f"<{bad[0]}> has {counts[bad[0]]} idempotents"
 
 
 CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -705,8 +697,6 @@ def verify_suite(corpus) -> VerificationReport:
                 witness = fn(S)
             except (SemigroupError, ValueError) as exc:
                 witness = str(exc)
-            except AssertionError as exc:
-                witness = f"assertion: {exc}"
             if witness is SKIP:
                 entries.append(CheckResult(name, check_name, "skip"))
             else:

@@ -21,8 +21,8 @@ class PrincipalIdeals(NamedTuple):
 def principal_ideals(S: FiniteSemigroup, s: int) -> PrincipalIdeals:
     """The three principal ideals S^1 s, s S^1 and S^1 s S^1."""
     _check_element(S, s)
-    left, right = pair = _ideal_rows(S)
-    rows = (left[s], right[s], _two_sided_rows(pair, [s])[0])
+    left, right = _ideal_rows(S)
+    rows = (left[s], right[s], left[right[s]].any(axis=0))  # S^1 y over y in s S^1
     return PrincipalIdeals(*(SubsetHandle(S, tuple(np.flatnonzero(row).tolist())) for row in rows))
 
 
@@ -42,19 +42,15 @@ def _ideal_rows(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
 def _two_sided_rows(pair, rows, cols=slice(None)) -> np.ndarray:
     """out[i, k] says cols[k] (every element by default) lies in S^1 x S^1
     for x = rows[i], read off the pair of _ideal_rows; rows is nonempty.
-    The only computation of principal two-sided ideals: S^1 x S^1 is the
-    union of S^1 y over y in x S^1, a float32 product of membership rows,
-    exact below order 2**24, in slices of _BLOCK // n rows.  Only the left
-    rows of the middles y that some x S^1 holds are read, converted to
-    float32 once per call."""
+    S^1 x S^1 is the union of S^1 y over y in x S^1: one row is
+    left[right[x]].any(axis=0), and many rows are a float32 product of
+    membership rows, exact below order 2**24, in slices of _BLOCK // n rows."""
     left, right = pair
     rows = np.asarray(rows, dtype=np.int64)
-    used = right[rows].any(axis=0)
-    ideals = left[used][:, cols].astype(np.float32)
+    ideals = left[:, cols].astype(np.float32)
     step = max(1, _BLOCK // len(left))
     return np.concatenate([
-        right[rows[a : a + step]][:, used].astype(np.float32) @ ideals > 0
-        for a in range(0, len(rows), step)
+        right[rows[a : a + step]].astype(np.float32) @ ideals > 0 for a in range(0, len(rows), step)
     ])
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NotIdempotent,
     SearchCapExceeded,
 )
-from .greens import _ideal_rows, _two_sided_rows
+from .greens import _ideal_rows
 
 
 def _is_ideal(rows: np.ndarray, members) -> bool:
@@ -108,7 +108,8 @@ def _kernel_row(S: FiniteSemigroup) -> np.ndarray:
     T, z = S.table, 0
     for x in range(1, S.order):
         z = T[z, x]
-    row = _two_sided_rows(_ideal_rows(S), [z])[0]
+    left, right = _ideal_rows(S)
+    row = left[right[z]].any(axis=0)  # S^1 y over y in z S^1
     row.setflags(write=False)
     return row
 

@@ -18,6 +18,7 @@ from .core import (
     _BLOCK,
     _check_element,
     _check_order,
+    _cyclic_rows,
     _derived,
     _idempotent_members,
     _int_rows,
@@ -70,13 +71,7 @@ class ReesMatrixSemigroup:
     realized: FiniteSemigroup
 
 
-def rees_construct(
-    i_size: int,
-    lambda_size: int,
-    group: FiniteSemigroup,
-    sandwich,
-    name: Optional[str] = None,
-) -> ReesMatrixSemigroup:
+def rees_construct(i_size: int, lambda_size: int, group: FiniteSemigroup, sandwich) -> ReesMatrixSemigroup:
     """Build M(I, G, Lambda, P): product (i,g,lam)(j,h,mu) = (i, g p[lam,j] h, mu)."""
     if i_size < 1 or lambda_size < 1:
         raise ValueError("i_size and lambda_size must be positive")
@@ -90,7 +85,7 @@ def rees_construct(
     P = P.astype(np.int64)
     _check_order(i_size * group.order * lambda_size)
     # M(I, G, Lambda, P) is associative for every group G and sandwich P
-    realized = FiniteSemigroup(_rees_table(i_size, lambda_size, group.table, P), name=name, validate=False)
+    realized = FiniteSemigroup(_rees_table(i_size, lambda_size, group.table, P), validate=False)
     return ReesMatrixSemigroup(i_size, lambda_size, group, P, realized)
 
 
@@ -269,7 +264,7 @@ def _subsemigroup_masks(S: FiniteSemigroup) -> np.ndarray:
     those candidates at once and keeps the ones not found before.
     """
     n = S.order
-    monogenic = _close(np.eye(n, dtype=bool), S.table)  # row x: <x>
+    monogenic = _cyclic_rows(S)  # row x: <x>
     found: dict[bytes, np.ndarray] = {}
     frontier = np.zeros((1, n), dtype=bool)
     step = max(1, _BLOCK // (n * n))  # frontier rows per slice: <= _BLOCK candidate cells
@@ -296,9 +291,16 @@ def _close(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
     for start in range(0, len(masks), step):
         block, size = masks[start : start + step], -1
         while size < (size := block.sum()):
-            k, a, b = np.nonzero(block[:, :, None] & block[:, None, :])
-            block[k, table[a, b]] = True
+            block |= _product_rows(table, block, block)
     return masks
+
+
+def _product_rows(table: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per row t, the membership row of the product set A[t]*B[t]."""
+    t, a, b = np.nonzero(A[:, :, None] & B[:, None, :])
+    out = np.zeros_like(A)
+    out[t, table[a, b]] = True
+    return out
 
 
 def subsemigroup_of_group_check(G: FiniteSemigroup, T: SubsetHandle) -> bool:

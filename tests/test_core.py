@@ -289,6 +289,16 @@ def test_monogenic_unique_idempotent_everywhere(t2, pb, z3):
             assert sum(1 for x in members if S.product(x, x) == x) == 1
 
 
+def test_cyclic_rows_match_monogenic(census5, seeded_closures):
+    # each row is <s>, and its only idempotent is monogenic's
+    for S in list(census5) + seeded_closures:
+        rows, is_idem = core._cyclic_rows(S), S.table.diagonal() == np.arange(S.order)
+        for s in range(S.order):
+            result = sk.monogenic(S, s)
+            assert tuple(np.flatnonzero(rows[s]).tolist()) == result.subset.members
+            assert np.flatnonzero(rows[s] & is_idem).tolist() == [result.idempotent]
+
+
 def test_sg_roundtrip(tmp_path, t2):
     path = tmp_path / "t2.sg"
     sk.write_sg(t2, path)

@@ -505,12 +505,8 @@ def test_verify_suite_skips_subsemigroup_walks_above_limit(monkeypatch):
     # the checks that walk every subsemigroup run up to
     # SUBSEMIGROUP_CHECK_LIMIT (order 12) and skip the walk above it; on
     # RB(10,10), order 100, the walk alone would run for hours
-    walked = []
-    for name in ("enumerate_subsemigroups", "_subsemigroup_masks"):
-        walk = getattr(corpus_mod, name)
-        monkeypatch.setattr(
-            corpus_mod, name, lambda S, *args, walk=walk: walked.append(S.order) or walk(S, *args)
-        )
+    walked, walk = [], corpus_mod._subsemigroup_masks
+    monkeypatch.setattr(corpus_mod, "_subsemigroup_masks", lambda S: walked.append(S.order) or walk(S))
     assert 12 <= corpus_mod.SUBSEMIGROUP_CHECK_LIMIT < 100
     report = verify_suite([sk.gen_standard("rect_band", 3, 4)])
     assert 12 in walked
@@ -668,8 +664,9 @@ def ese_group_flipped_at_2(S, E):
     [
         ("_swelling_verdicts", swelling_always_fails, "t2", "swelling_implication",
          "A=[0] lies in tA but is not tA at t=0"),
-        ("subsemigroup_of_group_check", lambda *args: False, "z3", "subsemigroup_of_group_is_subgroup",
-         "subsemigroup [0] of a group is not a subgroup"),
+        # x -> x + 1 as the inverse map: only the subgroup {0} of Z3 loses
+        ("_group_inverses", lambda GT, e: np.roll(np.arange(len(GT)), -1), "z3",
+         "subsemigroup_of_group_is_subgroup", "subsemigroup [0] of a group is not a subgroup"),
         ("_minimal_ideal_table", ese_group_flipped_at_2, "t2", "minimal_ideal_equivalences",
          "minimal-ideal equivalences disagree at e=2: (True, False, True, True)"),
     ],
@@ -682,6 +679,21 @@ def test_verify_records_wrong_verdict(monkeypatch, request, name, verdict, fixtu
     report = verify_suite([(fixture, S)])
     assert len(report.entries) == len(corpus_mod.CHECKS)
     assert {e.check: e.witness for e in report.failures} == {check: witness}
+
+
+def test_verify_names_the_least_power_row_without_idempotent(monkeypatch, z3):
+    # rows 1 and 2 of _cyclic_rows lose Z3's one idempotent, 0
+    real = corpus_mod._cyclic_rows
+
+    def without_zero(S):
+        rows = real(S)
+        rows[1:, 0] = False
+        return rows
+
+    monkeypatch.setattr(corpus_mod, "_cyclic_rows", without_zero)
+    report = verify_suite([("z3", z3)])
+    failed = {e.check: e.witness for e in report.failures}
+    assert failed == {"monogenic_unique_idempotent": "<1> has 0 idempotents"}
 
 
 def test_verify_reports_kernel_not_minimal(monkeypatch, t2):
@@ -881,6 +893,21 @@ def test_kernel_rees_roundtrip_at_the_order_cap_stays_small():
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     assert int(child_stdout(code)) < 500 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_monogenic_check_at_the_order_cap_stays_fast_and_small():
+    # Z4096, in a fresh process: <s> has up to 4,096 powers, walked for
+    # every s at once by one gather per power, not element by element
+    code = (
+        "import resource, time, semikit.corpus as c\n"
+        "S = c.parse_descriptor('cyclic:4096')\n"
+        "start = time.perf_counter()\n"
+        "assert c._check_monogenic_idempotent(S) is None\n"
+        "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    seconds, rss = child_stdout(code).split()
+    assert float(seconds) < 5
+    assert int(rss) < 500 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_kernel_statements_at_the_order_cap_stay_fast_and_small():

@@ -50,6 +50,14 @@ def test_one_principal_ideal_reads_few_left_rows(monkeypatch):
     assert peak < 8 << 20
 
 
+def test_principal_two_sided_ideal_matches_the_many_row_product(oracle_instances):
+    # one S^1 x S^1 as a union of left rows, against the float32 product
+    for S in oracle_instances:
+        product = greens._two_sided_rows(greens._ideal_rows(S), np.arange(S.order))
+        for x in range(S.order):
+            assert sk.principal_ideals(S, x).two_sided.members == tuple(np.flatnonzero(product[x]).tolist())
+
+
 def test_greens_z3(z3):
     G = greens_structure(z3)
     for classes in (G.l_classes, G.r_classes, G.j_classes, G.h_classes, G.d_classes):
