@@ -31,7 +31,6 @@ from .errors import SemigroupError
 from .greens import (
     GreensStructure,
     eggbox_dot,
-    greens_restriction_check,
     greens_structure,
     h_class_is_group,
     is_regular,
@@ -45,7 +44,6 @@ from .ideals import (
     kernel,
     minimal_ideal_equivalences,
     rees_quotient,
-    swelling_check,
 )
 from .simple import (
     ReesDecomposition,
@@ -59,7 +57,6 @@ from .simple import (
     rees_construct,
     rees_decompose,
     subsemigroup_decompose,
-    subsemigroup_of_group_check,
     write_rms,
 )
 from .corpus import (

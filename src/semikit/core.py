@@ -203,8 +203,8 @@ class SubsetHandle:
 
     A handle claims nothing more.  Each function that takes one checks what
     it needs itself: closure (``subsemigroup_table``), absorption
-    (``rees_quotient``, ``is_minimal_one_sided_ideal``), being an H-class
-    (``h_class_is_group``) or membership (``swelling_check``).
+    (``rees_quotient``, ``is_minimal_one_sided_ideal``) or being an H-class
+    (``h_class_is_group``).
     """
 
     parent: FiniteSemigroup

@@ -38,14 +38,6 @@ class NotAnIdeal(SemigroupError):
     """The given subset is not a two-sided ideal."""
 
 
-class ElementNotInSubset(SemigroupError):
-    """The given element does not belong to the given subset."""
-
-
-class NotRegularSubsemigroup(SemigroupError):
-    """The subset is not a subsemigroup all of whose elements are regular in it."""
-
-
 class NotASubsemigroup(SemigroupError):
     """The subset is not closed under the product."""
 

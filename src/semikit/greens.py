@@ -8,8 +8,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import _BLOCK, FiniteSemigroup, SubsetHandle, _check_element, _derived, subsemigroup_table
-from .errors import NotAnHClass, NotRegularSubsemigroup
+from .core import _BLOCK, FiniteSemigroup, SubsetHandle, _check_element, _derived
+from .errors import NotAnHClass
 
 
 class PrincipalIdeals(NamedTuple):
@@ -100,19 +100,15 @@ class GreensStructure:
     eggbox: tuple[EggBox, ...]
 
     @cached_property
-    def _below(self) -> np.ndarray:
-        """k×k bool, built on first read: [lo, hi] when D_lo lies strictly
-        under D_hi, each D-class read at its least member."""
+    def d_order(self) -> np.ndarray:
+        """The strict J-order, k×k bool and read-only, built on first read:
+        [lo, hi] when D_lo lies strictly under D_hi, each D-class read at
+        its least member."""
         reps = [m[0] for m in self.d_classes]
         below = _two_sided_rows(self.ideal_rows, reps, reps).T
         np.fill_diagonal(below, False)
+        below.setflags(write=False)  # shared by every caller
         return below
-
-    @property
-    def d_order(self) -> tuple[tuple[int, int], ...]:
-        """Strict J-order pairs (lower d_id, higher d_id), sorted by the higher."""
-        hi, lo = np.nonzero(self._below.T)  # row-major: sorted by hi, then lo
-        return tuple(zip(lo.tolist(), hi.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -204,7 +200,7 @@ def eggbox_dot(G: GreensStructure) -> str:
                 label = "{" + ",".join(str(x) for x in cell) + "}" + star
                 lines.append(f'    {node} [label="{label}"];')
         lines.append("  }")
-    below = G._below.astype(np.float32)  # float for BLAS; 0 only where no middle class
+    below = G.d_order.astype(np.float32)  # float for BLAS; 0 only where no middle class
     covers = np.argwhere((below > 0) & (below @ below == 0))  # row-major: sorted
     for lo, hi in covers.tolist():
         lines.append(
@@ -232,39 +228,12 @@ def is_regular(S: FiniteSemigroup, s: int) -> bool:
     return bool((T[T[s, :], s] == s).any())
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
-    ok: bool
-    violations: tuple[tuple[str, int, int], ...]  # (relation, a, b) in S-indices
-
-
-def greens_restriction_check(S: FiniteSemigroup, T: SubsetHandle) -> RestrictionReport:
-    """Check L^T = L^S ∩ (T×T) (and the R, H analogues) for a regular
-    subsemigroup T."""
-    sub, incl = subsemigroup_table(S, T.members)
-    U, idx = sub.table, np.arange(sub.order)[:, None]
-    regular = (U[U, idx] == idx).any(axis=1)  # x*t*x = x for some t
-    if not regular.all():
-        x = incl(int(np.argmin(regular)))  # the least non-regular element
-        raise NotRegularSubsemigroup(f"element {x} is not regular inside the subsemigroup")
-    GS = greens_structure(S)
-    members = np.asarray(incl.map)
-    violations = []
-    for name, attr, inner in zip("LRH", ("l_class", "r_class", "h_class"), _lrh_labels(sub)):
-        outer = getattr(GS, attr)[members]
-        if np.array_equal(_labels(outer), inner):
-            continue  # T's classes are S's classes restricted to T
-        differ = (inner[:, None] == inner) != (outer[:, None] == outer)
-        pairs = np.argwhere(np.triu(differ, 1)).tolist()  # row-major: i < k
-        violations += [(name, incl(i), incl(k)) for i, k in pairs]
-    return RestrictionReport(not violations, tuple(violations))
-
-
 def _first_restriction_violation(S: FiniteSemigroup, masks: np.ndarray):
-    """greens_restriction_check over the subsemigroups given as rows of a
-    bool membership matrix, in one pass per block of rows.  Returns the
-    first regular row whose L, R or H is not S's restricted, with its first
-    violation (relation, a, b) in greens_restriction_check's order, or None."""
+    """Green's restriction over the subsemigroups given as rows of a bool
+    membership matrix, in one pass per block of rows.  Returns the first
+    regular row whose L, R or H is not S's restricted, with its first
+    violation (relation, a, b), or None: L, then R, then H, and within a
+    relation the least pair (a, b) with a < b."""
     n = S.order
     T, x = S.table, np.arange(n)
     regular_at = T[T, x[:, None]] == x[:, None]  # [x, t]: x*t*x = x

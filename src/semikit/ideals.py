@@ -4,7 +4,7 @@ and the Swelling-Lemma check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .core import (
     idempotents,
 )
 from .errors import (
-    ElementNotInSubset,
     NotAnIdeal,
     NotIdempotent,
     SearchCapExceeded,
@@ -220,28 +219,12 @@ def rees_quotient(S: FiniteSemigroup, I: SubsetHandle):
     return quotient, SemigroupMorphism(S, quotient, tuple(proj))
 
 
-class SwellingVerdict(NamedTuple):
-    hypothesis_held: bool  # A subset of tA
-    equal: Optional[bool]  # A == tA, only evaluated when the hypothesis held
-
-
-def swelling_check(S: FiniteSemigroup, A: SubsetHandle, t: int) -> SwellingVerdict:
-    """The Swelling Lemma at t in A: if A is a subset of tA then A = tA.
-    It holds on every finite semigroup (|tA| <= |A|); the verify harness
-    records a (True, False) verdict as a failure."""
-    if t not in A:
-        raise ElementNotInSubset(f"t={t} not in A")
-    mem = np.asarray(A.members, dtype=np.int64)
-    tA = set(int(x) for x in np.unique(S.table[t, mem]))
-    if not A.member_set <= tA:
-        return SwellingVerdict(False, None)
-    return SwellingVerdict(True, tA == A.member_set)
-
-
 def _swelling_verdicts(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
-    """swelling_check at every nonempty subset A, a bitmask in ascending
-    order, and every t: held[A - 1, t] (A lies in tA) and equal[A - 1, t]
-    (A = tA), both False where t is not in A."""
+    """The Swelling Lemma (if A lies in tA then A = tA, for t in A) at every
+    nonempty subset A, a bitmask in ascending order, and every t:
+    held[A - 1, t] (A lies in tA) and equal[A - 1, t] (A = tA), both False
+    where t is not in A.  It holds on every finite semigroup (|tA| <= |A|);
+    the verify harness records held without equal as a failure."""
     n = S.order
     bit = np.int64(1) << np.arange(n)
     t_a = _subset_unions(bit[S.table.T])  # [A - 1, t]: tA

@@ -303,17 +303,6 @@ def _product_rows(table: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray
     return out
 
 
-def subsemigroup_of_group_check(G: FiniteSemigroup, T: SubsetHandle) -> bool:
-    """Whether the subsemigroup T of the group G is a subgroup: contains the
-    identity and is inverse-closed.  On a finite group it always is; the
-    verify harness records a False verdict as a failure."""
-    if not is_group(G):
-        raise NotAGroup("subsemigroup_of_group_check requires a group")
-    subsemigroup_table(G, T.members)  # raises NotASubsemigroup
-    identity, m = is_monoid(G), list(T.members)
-    return identity in T.member_set and bool((G.table[np.ix_(m, m)] == identity).any(axis=1).all())
-
-
 # ---------------------------------------------------------------------------
 # .rms text format
 

@@ -20,9 +20,12 @@ def test_greens_structure_shared(t2):
     G = sk.greens_structure(t2)
     assert sk.greens_structure(t2) is G
     assert "d_order" not in vars(G)  # built on first read
-    assert G.d_order == sk.greens_structure(fresh_copy(t2)).d_order
+    assert G.d_order is G.d_order  # and kept
+    assert np.array_equal(G.d_order, sk.greens_structure(fresh_copy(t2)).d_order)
     with pytest.raises(ValueError):
         G.l_class[0] = 1  # shared labels are read-only
+    with pytest.raises(ValueError):
+        G.d_order[0, 1] = True  # so is the kept D-order
 
 
 def test_cached_members_match_fresh_computation(census4):

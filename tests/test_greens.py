@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import semikit as sk
 from semikit import corpus as corpus_mod, greens
+from semikit.core import FiniteSemigroup, SubsetHandle, subsemigroup_table
 from semikit.corpus import gen_standard, gen_transformation_closure
-from semikit.errors import NotAnHClass, NotRegularSubsemigroup
-from semikit.greens import greens_structure
+from semikit.errors import NotAnHClass
+from semikit.greens import _labels, _lrh_labels, greens_structure
 
 
 def test_principal_ideals_l2(l2):
@@ -133,6 +135,12 @@ def greens_oracle(S):
     return {"l": l, "r": r, "h": number(zip(l, r)), "d": number(two_sided), "d_order": d_order}
 
 
+def d_order_pairs(G):
+    """The strict D-order pairs (lower, higher) read off the k×k matrix,
+    sorted by the higher class, then the lower."""
+    return tuple(map(tuple, np.argwhere(G.d_order.T)[:, ::-1].tolist()))
+
+
 def assert_matches_greens_oracle(S):
     G = greens_structure(S)
     want = greens_oracle(S)
@@ -141,7 +149,7 @@ def assert_matches_greens_oracle(S):
         "r": G.r_class.tolist(),
         "h": G.h_class.tolist(),
         "d": G.d_class.tolist(),
-        "d_order": G.d_order,
+        "d_order": d_order_pairs(G),
     }
     assert got == want, S.name
 
@@ -166,8 +174,8 @@ def test_greens_chain_semilattice():
     i = np.arange(n)
     G = greens_structure(sk.FiniteSemigroup(np.minimum.outer(i, i), validate=False))
     assert G.d_classes == tuple((x,) for x in range(n))
-    assert len(G.d_order) == n * (n - 1) // 2
-    assert set(G.d_order) == {(lo, hi) for hi in range(n) for lo in range(hi)}
+    assert G.d_order.sum() == n * (n - 1) // 2
+    assert set(d_order_pairs(G)) == {(lo, hi) for hi in range(n) for lo in range(hi)}
     edges = re.findall(r"ltail=cluster_d(\d+), lhead=cluster_d(\d+)", sk.eggbox_dot(G))
     assert sorted((int(lo), int(hi)) for hi, lo in edges) == [(x, x + 1) for x in range(n - 1)]
 
@@ -196,6 +204,49 @@ def test_eggbox_dot_memory_bounded():
         tracemalloc.stop()
     assert dot.count("ltail=") == 1999
     assert peak < 120 << 20
+
+
+def test_d_order_memory_bounded():
+    # the order-2000 chain's D-order is a 2000×2000 bool matrix with
+    # 1,999,000 True entries, read without a Python object per pair
+    G = greens_structure(chain(2000))
+    tracemalloc.start()
+    try:
+        below = G.d_order
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert below.shape == (2000, 2000) and below.dtype == bool
+    assert below.sum() == 1999000
+    assert peak < 64 << 20
+
+
+@dataclasses.dataclass(frozen=True)
+class RestrictionReport:
+    ok: bool
+    violations: tuple[tuple[str, int, int], ...]  # (relation, a, b) in S-indices
+
+
+def greens_restriction_check(S: FiniteSemigroup, T: SubsetHandle) -> RestrictionReport:
+    """Oracle: check L^T = L^S ∩ (T×T) (and the R, H analogues) for a
+    regular subsemigroup T, one T at a time."""
+    sub, incl = subsemigroup_table(S, T.members)
+    U, idx = sub.table, np.arange(sub.order)[:, None]
+    regular = (U[U, idx] == idx).any(axis=1)  # x*t*x = x for some t
+    if not regular.all():
+        x = incl(int(np.argmin(regular)))  # the least non-regular element
+        raise ValueError(f"element {x} is not regular inside the subsemigroup")
+    GS = greens_structure(S)
+    members = np.asarray(incl.map)
+    violations = []
+    for name, attr, inner in zip("LRH", ("l_class", "r_class", "h_class"), _lrh_labels(sub)):
+        outer = getattr(GS, attr)[members]
+        if np.array_equal(_labels(outer), inner):
+            continue  # T's classes are S's classes restricted to T
+        differ = (inner[:, None] == inner) != (outer[:, None] == outer)
+        pairs = np.argwhere(np.triu(differ, 1)).tolist()  # row-major: i < k
+        violations += [(name, incl(i), incl(k)) for i, k in pairs]
+    return RestrictionReport(not violations, tuple(violations))
 
 
 def restriction_violations_oracle(GS, GT, incl):
@@ -228,12 +279,12 @@ def test_restriction_violations_match_pairwise_loop(monkeypatch, census4):
             continue
         merged = dataclasses.replace(G, l_class=np.where(G.l_class == 1, 0, G.l_class))
         monkeypatch.setattr(
-            greens, "greens_structure", lambda X, S=S, merged=merged: merged if X is S else real(X)
+            sys.modules[__name__], "greens_structure", lambda X, S=S, merged=merged: merged if X is S else real(X)
         )
         for T in sk.enumerate_subsemigroups(S):
             try:
-                report = sk.greens_restriction_check(S, T)
-            except NotRegularSubsemigroup:
+                report = greens_restriction_check(S, T)
+            except ValueError:
                 continue
             sub, incl = sk.subsemigroup_table(S, T.members)
             expected = restriction_violations_oracle(merged, real(sub), incl)
@@ -248,8 +299,8 @@ def first_restriction_failure(S):
     over enumerate_subsemigroups, skipping the non-regular ones."""
     for T in sk.enumerate_subsemigroups(S):
         try:
-            report = sk.greens_restriction_check(S, T)
-        except NotRegularSubsemigroup:
+            report = greens_restriction_check(S, T)
+        except ValueError:
             continue
         if not report.ok:
             return f"restriction fails on {list(T.members)}: {report.violations[:1]}"
@@ -274,7 +325,8 @@ def test_batched_restriction_witness_matches_loop(monkeypatch, census4, merged, 
     for S in sample:
         G = real(S)
         stub = dataclasses.replace(G, **{attr: merge_first_two(getattr(G, attr)) for attr in merged})
-        monkeypatch.setattr(greens, "greens_structure", lambda X, S=S, stub=stub: stub if X is S else real(X))
+        for module in (greens, sys.modules[__name__]):  # the batched pass and the oracle
+            monkeypatch.setattr(module, "greens_structure", lambda X, S=S, stub=stub: stub if X is S else real(X))
         expected = first_restriction_failure(S)
         assert corpus_mod._check_green_restriction(S) == expected, S.name
         failing += expected is not None
@@ -372,17 +424,17 @@ def test_is_regular(z3, t2, pb):
 
 def test_restriction_full_subsemigroup(rb22):
     T = sk.SubsetHandle(rb22, (0, 1, 2, 3))
-    assert sk.greens_restriction_check(rb22, T).ok
+    assert greens_restriction_check(rb22, T).ok
 
 
 def test_restriction_unit_group(t2):
     T = sk.SubsetHandle(t2, (0, 1))
-    assert sk.greens_restriction_check(t2, T).ok
+    assert greens_restriction_check(t2, T).ok
 
 
 def test_restriction_completely_simple_subsemigroups(rb22):
     for T in sk.enumerate_subsemigroups(rb22):
-        assert sk.greens_restriction_check(rb22, T).ok
+        assert greens_restriction_check(rb22, T).ok
 
 
 def test_restriction_rejects_irregular(t2):
@@ -391,8 +443,8 @@ def test_restriction_rejects_irregular(t2):
     # semigroup with a non-regular element instead.
     S = sk.from_table(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # 2*2=1, 1 not regular
     T = sk.SubsetHandle(S, (0, 1, 2))
-    with pytest.raises(NotRegularSubsemigroup):
-        sk.greens_restriction_check(S, T)
+    with pytest.raises(ValueError, match="element 1 is not regular"):
+        greens_restriction_check(S, T)
 
 
 def test_stability(z3, l2, t2, pb, rb22):
@@ -415,9 +467,9 @@ def test_restriction_regularity_matches_loop(census4):
     for S in census4:
         for T in sk.enumerate_subsemigroups(S):
             try:
-                sk.greens_restriction_check(S, T)
+                greens_restriction_check(S, T)
                 message = None
-            except NotRegularSubsemigroup as exc:
+            except ValueError as exc:
                 message = str(exc)
             assert message == regularity_message_oracle(S, T), (S.name, T.members)
             irregular += message is not None
