@@ -327,7 +327,10 @@ def closure(S: FiniteSemigroup, gens: Sequence[int]) -> SubsetHandle:
 
 
 def _check_element(S: FiniteSemigroup, x: int) -> None:
-    """Refuse an element argument outside [0, n); -1 must not wrap to n-1."""
+    """Refuse an element argument that is not an integer in [0, n): a float
+    must not truncate, a bool must not pass as 0 or 1, -1 must not wrap to n-1."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise OutOfRange(f"element {x!r} is not an integer")
     if not 0 <= x < S.order:
         raise OutOfRange(f"element {x} not in [0,{S.order})")
 

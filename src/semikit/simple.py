@@ -26,7 +26,6 @@ from .core import (
     _positions,
     from_table,
     is_group,
-    is_monoid,
     max_order,
     subsemigroup_table,
 )
@@ -205,27 +204,16 @@ class BandPredicates(NamedTuple):
     is_rectangular_group: bool
 
 
-def normalize_sandwich(rms: ReesMatrixSemigroup) -> np.ndarray:
-    """Re-base P by row/column group translations so row 0 and column 0
-    become the identity; yields an isomorphic Rees matrix semigroup."""
-    GT = rms.group.table
-    inv = _group_inverses(GT, is_monoid(rms.group))
-    P = rms.sandwich
-    # p'_{lam,i} = p_{lam,0}^-1 * p_{lam,i} * p_{0,i}^-1 * p_{0,0}
-    v = GT[inv[P[:, :1]], P]
-    v = GT[v, inv[P[:1, :]]]
-    return GT[v, P[0, 0]]
-
-
 def band_predicates(S: FiniteSemigroup) -> BandPredicates:
+    """Band, rectangular band, rectangular group.  A completely simple S is
+    a rectangular group iff efe = e for every idempotent f, at any one
+    idempotent e: with P normalised at e, e = (1, 1, 1) and f = (j, p^-1, mu)
+    for p = p(mu, j), so efe = (1, p^-1, 1), which is e iff P is all identity."""
     T, idx = S.table, np.arange(S.order)[:, None]
-    band = bool((T.diagonal() == idx[:, 0]).all())
+    E = np.flatnonzero(T.diagonal() == idx[:, 0])
+    band = E.size == S.order
     rect_band = band and bool((T[T, idx] == idx).all())  # [a, b]: (ab)a = a
-    rect_group = False
-    if is_completely_simple(S):
-        dec = rees_decompose(S)
-        norm = normalize_sandwich(dec.rms)
-        rect_group = bool((norm == is_monoid(dec.rms.group)).all())
+    rect_group = is_completely_simple(S) and bool((T[T[E[0], E], E[0]] == E[0]).all())
     return BandPredicates(band, rect_band, rect_group)
 
 
@@ -236,11 +224,14 @@ class HFiniteness(NamedTuple):
 
 
 def h_finiteness(S: FiniteSemigroup) -> HFiniteness:
-    """H-class count of a completely simple semigroup; equals |I|*|Lambda|.
-    Every finite instance is H-finite."""
-    dec = rees_decompose(S)  # raises NotCompletelySimple
-    count = len(greens_structure(S).h_classes)
-    return HFiniteness(count, dec.rms.i_size, dec.rms.lambda_size)
+    """H-class count, |I| and |Lambda| of a completely simple semigroup, read
+    off the kept Green classes: in M(I, G, Lambda; P), (i, g, lam) R (j, h, mu)
+    iff i = j, and dually for L, so |I| counts R-classes and |Lambda|
+    L-classes.  The count is |I|*|Lambda|; every finite instance is H-finite."""
+    if not is_completely_simple(S):
+        raise NotCompletelySimple("h_finiteness requires a completely simple semigroup")
+    G = greens_structure(S)
+    return HFiniteness(len(G.h_classes), len(G.r_classes), len(G.l_classes))
 
 
 def enumerate_subsemigroups(S: FiniteSemigroup, cap: int = DEFAULT_SEARCH_CAP) -> list[SubsetHandle]:

@@ -516,3 +516,25 @@ def test_element_arguments_are_range_checked(t2, call, x):
     # reach numpy as an IndexError
     with pytest.raises(OutOfRange, match=rf"element {x} not in \[0,4\)"):
         call(t2, x)
+
+
+@pytest.mark.parametrize("x", [1.5, True, np.int64(1)], ids=["float", "bool", "int64"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        sk.principal_ideals,
+        sk.is_regular,
+        sk.minimal_ideal_equivalences,
+        sk.centralizer,
+        sk.monogenic,
+        sk.rees_decompose,
+    ],
+)
+def test_element_arguments_must_be_integers(rb22, call, x):
+    # on RB(2,2), 1.5 must not truncate to 1, nor True pass as 1, nor either
+    # reach numpy as an IndexError; a numpy integer is an element
+    if isinstance(x, np.integer):
+        call(rb22, x)
+    else:
+        with pytest.raises(OutOfRange, match=rf"element {x!r} is not an integer"):
+            call(rb22, x)

@@ -33,7 +33,7 @@ from semikit.corpus import (
 from semikit.core import _BLOCK, max_order
 from semikit.greens import _labels
 from semikit.ideals import _minimal_ideal_table, kernel, kernel_members
-from semikit.simple import _rees_coordinates, normalize_sandwich
+from semikit.simple import _group_inverses, _rees_coordinates
 from semikit.errors import CensusLimitExceeded, Overflow, UnknownGenerator
 
 
@@ -322,6 +322,19 @@ def canonical_form(S, fold_opposites=False):
         if best is None or _lex_less(least, best):
             best = least
     return tuple(best.tolist())
+
+
+def normalize_sandwich(rms):
+    """Re-base P by row/column group translations so row 0 and column 0
+    become the identity; yields an isomorphic Rees matrix semigroup.  The
+    rectangular-group oracle: S is one iff this P is all identity."""
+    GT = rms.group.table
+    inv = _group_inverses(GT, sk.is_monoid(rms.group))
+    P = rms.sandwich
+    # p'_{lam,i} = p_{lam,0}^-1 * p_{lam,i} * p_{0,i}^-1 * p_{0,0}
+    v = GT[inv[P[:, :1]], P]
+    v = GT[v, inv[P[:1, :]]]
+    return GT[v, P[0, 0]]
 
 
 def order_counts(semigroups, max_order):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +24,10 @@ from semikit.errors import (
     Overflow,
     SearchCapExceeded,
 )
+from semikit.greens import _ideal_rows
 from semikit.ideals import kernel_members
-from semikit.simple import dumps_rms, loads_rms, normalize_sandwich
-from test_corpus import canonical_form
+from semikit.simple import dumps_rms, loads_rms
+from test_corpus import canonical_form, normalize_sandwich
 
 
 def test_is_simple(z3, rb22, t2):
@@ -313,6 +316,69 @@ def test_h_finiteness_on_rees_grid():
                 for seed in (1, 2):
                     S = gen_random_rees(i_size, lam, group, seed).realized
                     assert sk.h_finiteness(S) == (i_size * lam, i_size, lam)
+
+
+def test_h_finiteness_rejects_not_completely_simple(pb, t2):
+    for S in (pb, t2):
+        with pytest.raises(NotCompletelySimple, match="h_finiteness requires"):
+            sk.h_finiteness(S)
+
+
+def rees_grid_and_products():
+    """Seeded Rees matrix semigroups over every group of the registry, and
+    each group times a rectangular band, |I| and |Lambda| in 1..3."""
+    shapes = [(i_size, lam) for i_size in (1, 2, 3) for lam in (1, 2, 3)]
+    for name in _GROUPS:
+        for i_size, lam in shapes:
+            for seed in (1, 2):
+                yield gen_random_rees(i_size, lam, name, seed).realized
+            yield sk.direct_product(resolve_group(name), sk.gen_standard("rect_band", i_size, lam))
+
+
+def rectangular_group_oracle(S):
+    """Completely simple, with the sandwich of its Rees decomposition all
+    identity once normalised."""
+    if not sk.is_completely_simple(S):
+        return False
+    rms = sk.rees_decompose(S).rms
+    return bool((normalize_sandwich(rms) == is_monoid(rms.group)).all())
+
+
+def test_rectangular_group_matches_normalised_sandwich(census5):
+    # efe = e over E(S) at one idempotent e, against P normalised to identity
+    verdicts = set()
+    for S in [*census5, *rees_grid_and_products()]:
+        verdict = sk.band_predicates(S).is_rectangular_group
+        assert verdict == rectangular_group_oracle(S)
+        verdicts.add((sk.is_completely_simple(S), verdict))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_h_finiteness_matches_rees_decompose_at_every_idempotent(census5):
+    # |I| = R-classes and |Lambda| = L-classes, whichever idempotent is the base
+    simple_ones = [S for S in [*census5, *rees_grid_and_products()] if sk.is_completely_simple(S)]
+    for S in simple_ones:
+        sizes = sk.h_finiteness(S)[1:]
+        for e in sk.idempotents(S).members:
+            rms = sk.rees_decompose(S, e).rms
+            assert sizes == (rms.i_size, rms.lambda_size)
+
+
+def test_band_predicates_memory_bounded(monkeypatch):
+    # Z4096: efe = e over E(S) = {0}, not a Rees decomposition's n×n
+    # realized table (384 MB)
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    S = sk.gen_standard("cyclic", 4096)
+    _ideal_rows(S)  # kept per semigroup: not this call's cost
+    assert sk.is_completely_simple(S)
+    tracemalloc.start()
+    try:
+        result = sk.band_predicates(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (False, False, True)
+    assert peak < 16 << 20
 
 
 def brute_subsemigroups(S):
