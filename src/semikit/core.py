@@ -313,10 +313,7 @@ def closure(S: FiniteSemigroup, gens: Sequence[int]) -> SubsetHandle:
     if not gens:
         raise EmptyGenerators("closure requires at least one generator")
     for g in gens:
-        if not isinstance(g, (int, np.integer)):
-            raise OutOfRange(f"generator {g!r} is not an integer")
-        if not 0 <= g < S.order:
-            raise OutOfRange(f"generator {g} not in [0,{S.order})")
+        _check_element(S, g)
     mask, gens = np.zeros(S.order, dtype=bool), np.asarray(gens, dtype=np.int64)
     _cover(S.table, gens, mask, gens)
     return SubsetHandle(S, tuple(np.flatnonzero(mask)))

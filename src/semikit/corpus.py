@@ -37,7 +37,6 @@ from .greens import (
     _first_restriction_violation,
     _ideal_rows,
     _labels,
-    _two_sided_rows,
     greens_structure,
     is_stable,
 )
@@ -554,9 +553,16 @@ def _check_swelling(S):
 
 
 def _check_d_composition(S):
+    """D = J from each D-class's least member r(x), the first occurrence of
+    its label.  D ⊆ J: x lies in S^1 r(x) S^1 and r(x) in S^1 x S^1, each
+    S^1 y S^1 read as the union of S^1 z over z in y S^1.  J ⊆ D: no two
+    least members are J-related, so the strict D-order and its transpose
+    share no entry."""
     G = greens_structure(S)
-    j = _labels(_two_sided_rows(_ideal_rows(S), np.arange(S.order)))  # by principal ideal S^1 x S^1
-    if not np.array_equal(G.d_class, j):
+    left, right = G.ideal_rows
+    r = np.unique(G.d_class, return_index=True)[1][G.d_class]  # [x]: r(x)
+    mutual = (right[r] & left.T).any(axis=1) & (right & left[:, r].T).any(axis=1)
+    if not mutual.all() or (G.d_order & G.d_order.T).any():
         return "D != J"
     # every egg-box cell nonempty <=> D = RL = LR inside each D-class
     for box in G.eggbox:

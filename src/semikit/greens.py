@@ -39,21 +39,6 @@ def _ideal_rows(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _two_sided_rows(pair, rows, cols=slice(None)) -> np.ndarray:
-    """out[i, k] says cols[k] (every element by default) lies in S^1 x S^1
-    for x = rows[i], read off the pair of _ideal_rows; rows is nonempty.
-    S^1 x S^1 is the union of S^1 y over y in x S^1: one row is
-    left[right[x]].any(axis=0), and many rows are a float32 product of
-    membership rows, exact below order 2**24, in slices of _BLOCK // n rows."""
-    left, right = pair
-    rows = np.asarray(rows, dtype=np.int64)
-    ideals = left[:, cols].astype(np.float32)
-    step = max(1, _BLOCK // len(left))
-    return np.concatenate([
-        right[rows[a : a + step]].astype(np.float32) @ ideals > 0 for a in range(0, len(rows), step)
-    ])
-
-
 def _labels(keys: np.ndarray, seen: Optional[dict] = None) -> np.ndarray:
     """Number the rows of keys (its entries, if 1-D) by first occurrence, so
     equal rows share a label and classes are numbered by least member.  A
@@ -102,10 +87,17 @@ class GreensStructure:
     @cached_property
     def d_order(self) -> np.ndarray:
         """The strict J-order, k×k bool and read-only, built on first read:
-        [lo, hi] when D_lo lies strictly under D_hi, each D-class read at
-        its least member."""
-        reps = [m[0] for m in self.d_classes]
-        below = _two_sided_rows(self.ideal_rows, reps, reps).T
+        [lo, hi] when D_lo lies strictly under D_hi, each D-class read at its
+        least member, the first occurrence of its label.  S^1 x S^1 is the
+        union of S^1 y over y in x S^1, so the rows are a float32 product of
+        membership rows, exact below order 2**24, in slices of _BLOCK // n."""
+        left, right = self.ideal_rows
+        reps = np.unique(self.d_class, return_index=True)[1]
+        ideals = left[:, reps].astype(np.float32)
+        step = max(1, _BLOCK // len(left))
+        below = np.concatenate([  # [hi, lo] before the transpose
+            right[reps[a : a + step]].astype(np.float32) @ ideals > 0 for a in range(0, len(reps), step)
+        ]).T
         np.fill_diagonal(below, False)
         below.setflags(write=False)  # shared by every caller
         return below

@@ -205,16 +205,16 @@ class BandPredicates(NamedTuple):
 
 
 def band_predicates(S: FiniteSemigroup) -> BandPredicates:
-    """Band, rectangular band, rectangular group.  A completely simple S is
-    a rectangular group iff efe = e for every idempotent f, at any one
+    """Band, rectangular band, rectangular group.  A band is a rectangular
+    band iff it is completely simple.  A completely simple S is a
+    rectangular group iff efe = e for every idempotent f, at any one
     idempotent e: with P normalised at e, e = (1, 1, 1) and f = (j, p^-1, mu)
     for p = p(mu, j), so efe = (1, p^-1, 1), which is e iff P is all identity."""
-    T, idx = S.table, np.arange(S.order)[:, None]
-    E = np.flatnonzero(T.diagonal() == idx[:, 0])
-    band = E.size == S.order
-    rect_band = band and bool((T[T, idx] == idx).all())  # [a, b]: (ab)a = a
-    rect_group = is_completely_simple(S) and bool((T[T[E[0], E], E[0]] == E[0]).all())
-    return BandPredicates(band, rect_band, rect_group)
+    T = S.table
+    E = np.flatnonzero(T.diagonal() == np.arange(S.order))
+    band, simple = E.size == S.order, is_completely_simple(S)
+    rect_group = simple and bool((T[T[E[0], E], E[0]] == E[0]).all())
+    return BandPredicates(band, band and simple, rect_group)
 
 
 class HFiniteness(NamedTuple):

@@ -133,9 +133,10 @@ def test_closure_empty_generators(z3):
         sk.closure(z3, [])
 
 
-@pytest.mark.parametrize("gen", [1.5, "1", 1.0, None])
+@pytest.mark.parametrize("gen", [1.5, "1", 1.0, None, True])
 def test_closure_refuses_non_integer_generators(gen):
-    # 1.5 must not be truncated to 1, whose closure is all of Z6
+    # 1.5 must not be truncated to 1, whose closure is all of Z6, nor True
+    # pass as 1
     with pytest.raises(OutOfRange, match="not an integer"):
         sk.closure(sk.gen_standard("cyclic", 6), [gen])
 

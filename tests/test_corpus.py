@@ -639,16 +639,34 @@ def test_report_json_escapes_like_json_dumps():
 
 def test_verify_reports_d_not_equal_j(monkeypatch, t2):
     # the D = J check lives in the verify harness: a structure whose D
-    # partition is not J must be recorded as a failure, not pass silently
+    # partition is not J must be recorded as a failure, not pass silently.
+    # Split into singletons, D ⊆ J holds and the D-order sees 0 J 1; merged
+    # into one class, only D ⊆ J sees that 0 is not in S^1 2 S^1
     real = corpus_mod.greens_structure
+    for d_class in (np.arange(t2.order), np.zeros(t2.order, dtype=np.int64)):
+        monkeypatch.setattr(
+            corpus_mod, "greens_structure", lambda S, d=d_class: dataclasses.replace(real(S), d_class=d)
+        )
+        report = verify_suite([("t2", t2)])
+        failed = {e.check: e.witness for e in report.failures}
+        assert failed.get("d_equals_rl_equals_lr") == "D != J"
 
-    def broken(S):
-        return dataclasses.replace(real(S), d_class=np.arange(S.order))
 
-    monkeypatch.setattr(corpus_mod, "greens_structure", broken)
-    report = verify_suite([("t2", t2)])
-    failed = {e.check: e.witness for e in report.failures}
-    assert failed.get("d_equals_rl_equals_lr") == "D != J"
+def test_d_equals_j_check_memory_bounded(monkeypatch):
+    # Z4096, one D-class: two n×n bool passes over the kept principal-ideal
+    # pair and a 1×1 D-order, not an n×n float32 product of every S^1 x S^1
+    # row (96 MB)
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    S = sk.gen_standard("cyclic", 4096)
+    corpus_mod.greens_structure(S)  # kept per semigroup: not this call's cost
+    tracemalloc.start()
+    try:
+        result = corpus_mod._check_d_composition(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is None
+    assert peak < 48 << 20
 
 
 def test_verify_reports_wrong_classification(monkeypatch, rb22):

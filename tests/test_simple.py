@@ -283,6 +283,24 @@ def test_band_predicates(rb22, pb, z3):
     assert sk.band_predicates(z3) == (False, False, True)
 
 
+def rectangular_band_oracle(S):
+    """A band with (ab)a = a for every a, b."""
+    T, idx = S.table, np.arange(S.order)[:, None]
+    return bool((T.diagonal() == idx[:, 0]).all() and (T[T, idx] == idx).all())
+
+
+def test_rectangular_band_matches_aba_oracle(census5):
+    # a band is a rectangular band iff it is completely simple
+    fixtures = [sk.gen_standard("rect_band", i, j) for i, j in ((1, 5), (2, 3), (3, 2), (4, 4))]
+    fixtures += [sk.gen_standard(name, k) for name in ("left_zero", "right_zero") for k in (1, 3, 6)]
+    verdicts = set()
+    for S in [*census5, *fixtures, sk.direct_product(resolve_group("z2"), fixtures[1])]:
+        band, rect_band, _ = sk.band_predicates(S)
+        assert rect_band == rectangular_band_oracle(S)
+        verdicts.add((band, rect_band))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
 def test_rectangular_group_detected_on_product(z3, rb22):
     P = sk.direct_product(z3, rb22)
     assert sk.band_predicates(P) == (False, False, True)
@@ -365,20 +383,24 @@ def test_h_finiteness_matches_rees_decompose_at_every_idempotent(census5):
 
 
 def test_band_predicates_memory_bounded(monkeypatch):
-    # Z4096: efe = e over E(S) = {0}, not a Rees decomposition's n×n
-    # realized table (384 MB)
     monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
-    S = sk.gen_standard("cyclic", 4096)
-    _ideal_rows(S)  # kept per semigroup: not this call's cost
-    assert sk.is_completely_simple(S)
-    tracemalloc.start()
-    try:
-        result = sk.band_predicates(S)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result == (False, False, True)
-    assert peak < 16 << 20
+    cases = [
+        # efe = e over E(S) = {0}, not a Rees decomposition's n×n realized table (384 MB)
+        (sk.gen_standard("cyclic", 4096), (False, False, True)),
+        # complete simplicity, already kept, not an n×n int64 gather of (ab)a (144 MB)
+        (sk.gen_standard("rect_band", 64, 64), (True, True, True)),
+    ]
+    for S, expected in cases:
+        _ideal_rows(S)  # kept per semigroup: not this call's cost
+        assert sk.is_completely_simple(S)
+        tracemalloc.start()
+        try:
+            result = sk.band_predicates(S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < 16 << 20
 
 
 def brute_subsemigroups(S):
