@@ -11,6 +11,8 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import corpus as corpus_mod
@@ -29,11 +31,29 @@ from .simple import (
 )
 
 
+def _json(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) for dicts with str keys, lists
+    and scalars, whose indenting encoder is pure Python: here strings go through
+    json's C encoder, a list of ints is one join, and numbers are json.dumps's."""
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        items, ends = [f"{encode_basestring_ascii(k)}: {_json(doc[k], inner)}" for k in sorted(doc)], "{}"
+    elif isinstance(doc, (list, tuple)):
+        items, ends = list(map(str, doc)) if all(type(x) is int for x in doc) else [_json(x, inner) for x in doc], "[]"
+    elif isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    elif doc is None or isinstance(doc, bool):
+        return "null" if doc is None else "true" if doc else "false"
+    else:
+        return json.dumps(doc)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def _emit(args, doc: dict, human: Callable[[], str]) -> None:
     """Write doc in structured mode, else the text human() renders, so the
     text is only built when it is printed."""
     if args.format == "structured":
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(doc) + "\n")
     else:
         sys.stdout.write(human() + "\n")
 
@@ -188,8 +208,7 @@ def _cmd_census(args) -> int:
         "fingerprint": corpus_mod.fingerprint(instances),
     }
     with open(os.path.join(args.output, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json(manifest) + "\n")
     _emit(
         args,
         {"count": len(instances), "fingerprint": manifest["fingerprint"]},
@@ -223,7 +242,10 @@ def _cmd_verify(args) -> int:
     return 1 if report.failures else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, binding each subcommand's handler: a ``_cmd_*``
+    function replaced afterwards is not the one ``main`` calls."""
     parser = argparse.ArgumentParser(prog="semikit", description=__doc__)
     parser.add_argument(
         "--format", choices=("human", "structured"), default="human",
@@ -283,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SemigroupError, OSError, ValueError) as exc:

@@ -95,8 +95,9 @@ class FiniteSemigroup:
                     f"entry at ({bad[0]},{bad[1]}) = {arr[bad[0], bad[1]]} "
                     f"not in [0,{n})"
                 )
-            # in range, so the narrow copy is exact; the test only gathers
-            witness = associativity_witness(arr.astype(np.min_scalar_type(n - 1)))
+            # in range, so a narrower copy is exact, and the test only gathers
+            narrow = np.min_scalar_type(n - 1)
+            witness = associativity_witness(arr if arr.itemsize <= narrow.itemsize else arr.astype(narrow))
             if witness is not None:
                 raise NotAssociative(witness)
         arr = np.ascontiguousarray(arr, dtype=np.int64)
@@ -494,12 +495,13 @@ def dumps_sg(S: FiniteSemigroup) -> str:
 def _int_rows(lines: Sequence[str], width: int, what: str):
     """Parse text lines of exactly ``width`` whitespace-separated integers.
     On ASCII, np.loadtxt accepts a subset of what int() does, with the same
-    values (elsewhere it reads letters as digits, and U+10FFFF crashes it);
+    values (elsewhere it reads letters as digits, and U+10FFFF crashes it),
+    here in the narrowest signed dtype holding every index below the cap;
     the rest is reparsed by int(), line by line, for the same result or error."""
     if lines and all(line.isascii() for line in lines):
         try:
             # comments=None: int() refuses a trailing '# ...', so must this
-            rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+            rows = np.loadtxt(lines, dtype=np.min_scalar_type(-max_order()), ndmin=2, comments=None)
         except ValueError:
             pass
         else:

@@ -553,14 +553,13 @@ def _check_swelling(S):
 
 
 def _check_d_composition(S):
-    """D = J from each D-class's least member r(x), the first occurrence of
-    its label.  D ⊆ J: x lies in S^1 r(x) S^1 and r(x) in S^1 x S^1, each
-    S^1 y S^1 read as the union of S^1 z over z in y S^1.  J ⊆ D: no two
-    least members are J-related, so the strict D-order and its transpose
-    share no entry."""
+    """D = J from each D-class's least member r(x), kept on the structure.  D ⊆ J:
+    x lies in S^1 r(x) S^1 and r(x) in S^1 x S^1, each S^1 y S^1 read as the union
+    of S^1 z over z in y S^1.  J ⊆ D: no two least members are J-related, so the
+    strict D-order and its transpose share no entry."""
     G = greens_structure(S)
     left, right = G.ideal_rows
-    r = np.unique(G.d_class, return_index=True)[1][G.d_class]  # [x]: r(x)
+    r = G.d_least[G.d_class]  # [x]: r(x)
     mutual = (right[r] & left.T).any(axis=1) & (right & left[:, r].T).any(axis=1)
     if not mutual.all() or (G.d_order & G.d_order.T).any():
         return "D != J"

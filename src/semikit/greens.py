@@ -85,20 +85,28 @@ class GreensStructure:
     eggbox: tuple[EggBox, ...]
 
     @cached_property
+    def d_least(self) -> np.ndarray:
+        """[c]: the least member of D-class c, the first occurrence of its label."""
+        least = np.unique(self.d_class, return_index=True)[1]
+        least.setflags(write=False)  # shared by every caller
+        return least
+
+    @cached_property
     def d_order(self) -> np.ndarray:
         """The strict J-order, k×k bool and read-only, built on first read:
         [lo, hi] when D_lo lies strictly under D_hi, each D-class read at its
-        least member, the first occurrence of its label.  S^1 x S^1 is the
-        union of S^1 y over y in x S^1, so the rows are a float32 product of
-        membership rows, exact below order 2**24, in slices of _BLOCK // n."""
+        least member.  S^1 x S^1 is the union of S^1 y over y in x S^1, so
+        the rows are a float32 product of membership rows, exact below order
+        2**24, in slices of _BLOCK // n; one D-class needs no product."""
         left, right = self.ideal_rows
-        reps = np.unique(self.d_class, return_index=True)[1]
-        ideals = left[:, reps].astype(np.float32)
-        step = max(1, _BLOCK // len(left))
-        below = np.concatenate([  # [hi, lo] before the transpose
-            right[reps[a : a + step]].astype(np.float32) @ ideals > 0 for a in range(0, len(reps), step)
-        ]).T
-        np.fill_diagonal(below, False)
+        reps, below = self.d_least, np.zeros((1, 1), dtype=bool)
+        if len(reps) > 1:
+            ideals = left[:, reps].astype(np.float32)
+            step = max(1, _BLOCK // len(left))
+            below = np.concatenate([  # [hi, lo] before the transpose
+                right[reps[a : a + step]].astype(np.float32) @ ideals > 0 for a in range(0, len(reps), step)
+            ]).T
+            np.fill_diagonal(below, False)
         below.setflags(write=False)  # shared by every caller
         return below
 

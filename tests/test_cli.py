@@ -2,9 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semikit as sk
 from semikit import cli as cli_mod
@@ -324,6 +325,57 @@ def test_structured_output_byte_identical(pb_file, capsys):
         assert main(["--format", "structured", "kernel", pb_file]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_main_calls_share_no_state(pb_file, tmp_path, capsys):
+    # the parser is built once per process; no option of one call reaches the next
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    dot = tmp_path / "egg.dot"
+    assert main(["--format", "structured", "greens", pb_file, "--dot", str(dot)]) == 0
+    first = capsys.readouterr().out
+    dot.unlink()
+    assert main(["--format", "structured", "greens", pb_file]) == 0
+    assert capsys.readouterr().out == first and not dot.exists()
+    assert main(["greens", pb_file]) == 0  # human, the default
+    assert capsys.readouterr().out.startswith("D-class 0:")
+
+
+def json_oracle(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@given(st.recursive(_SCALARS, lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=30))
+@example({"": [], "é\"\\": [{}, [[]], "\u2028\x00😀"], "a": [1, -2, 2**70, True, None]})
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli_mod._json(doc) == json_oracle(doc)
+
+
+def test_structured_output_matches_json_dumps(pb_file, z3_file, rb22, tmp_path):
+    # every structured subcommand and the census manifest, written by the
+    # writer and by json.dumps: the same bytes, exit codes and files
+    rb22_file = str(tmp_path / "rb22.sg")
+    sk.write_sg(rb22, rb22_file)
+    argvs = [["census", "--max-order", "2", "-o", str(tmp_path / "c2")],
+             ["verify", "--corpus", str(tmp_path / "c2")],
+             ["gen", "rect_band:2,2", "-o", str(tmp_path / "g.sg")]]
+    for path in (pb_file, z3_file, rb22_file):
+        ideal = ",".join(map(str, sk.kernel(sk.read_sg(path)).kernel.members))
+        argvs += [[sub, path] for sub in ("validate", "report", "greens", "kernel", "decompose", "subsemigroups")]
+        argvs += [["quotient", path, "--ideal", ideal], ["quotient", path, "--ideal", ideal, "-o", str(tmp_path / "q.sg")]]
+    for argv in argvs:
+        outs = []
+        for writer in (cli_mod._json, json_oracle):
+            sink = io.StringIO()
+            with mock.patch.object(cli_mod, "_json", writer), contextlib.redirect_stdout(sink):
+                rc = main(["--format", "structured", *argv])
+            manifest = (tmp_path / "c2" / "manifest.json").read_bytes() if argv[0] == "census" else None
+            outs.append((rc, sink.getvalue(), manifest))
+        assert outs[0] == outs[1], argv
+        assert outs[0][0] == (2 if argv[:2] == ["decompose", pb_file] else 0), argv  # pb is not simple
 
 
 def test_env_max_order(tmp_path, z3, monkeypatch):

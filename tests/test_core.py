@@ -388,6 +388,12 @@ def dumps_sg_oracle(S):
         # np.loadtxt reads U+01FE as the digit 462; int() refuses it
         ("1\n\u01fe", ValueError, "invalid literal for int() with base 10: '\u01fe'"),
         ("2\n0 1\n1 \u01fe", ValueError, "invalid literal for int() with base 10: '\u01fe'"),
+        # at and past the int16 bounds that np.loadtxt reads below the default cap
+        ("1\n32767", OutOfRange, "entry at (0,0) = 32767 not in [0,1)"),
+        ("1\n32768", OutOfRange, "entry at (0,0) = 32768 not in [0,1)"),
+        ("1\n-32769", OutOfRange, "entry at (0,0) = -32769 not in [0,1)"),
+        ("1\n40000", OutOfRange, "entry at (0,0) = 40000 not in [0,1)"),
+        ("2\n0 40000\n0 0", OutOfRange, "entry at (0,1) = 40000 not in [0,2)"),
     ],
 )
 def test_loads_sg_error_contract(text, error, message):
@@ -402,6 +408,16 @@ def test_loads_sg_reads_what_int_reads(text):
     with mock.patch.object(core, "_int_rows", int_rows_oracle):
         expected = loads_sg(text).table
     assert np.array_equal(loads_sg(text).table, expected)
+
+
+def test_int_rows_fast_path_dtype_follows_the_cap(monkeypatch):
+    # int16 at the default cap; a raised cap widens it, so np.loadtxt still
+    # reads every index below the cap instead of handing it to int()
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    assert core._int_rows(["0 4095"], 2, "table").dtype == np.int16
+    monkeypatch.setenv("SEMIKIT_MAX_ORDER", "40000")
+    rows = core._int_rows(["0 39999"], 2, "table")
+    assert isinstance(rows, np.ndarray) and rows.tolist() == [[0, 39999]]
 
 
 def test_loads_sg_refuses_over_cap_header_before_parsing(monkeypatch):

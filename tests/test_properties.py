@@ -236,6 +236,17 @@ def assert_loads_like_per_line_parser(text):
 @example("1\n٠")
 @example("2\n0 1 # c\n0 1\n")
 @example("i_size 1\nlambda_size 1\ngroup\n1\nǾ\nsandwich\n0")
+# at and past the int16 bounds that np.loadtxt reads below the default cap
+@example("1\n32767")
+@example("1\n32768")
+@example("1\n-32769")
+@example("1\n40000")
+@example("2\n0 40000\n0 0")
+@example("i_size 1\nlambda_size 1\ngroup\n1\n32767\nsandwich\n0")
+@example("i_size 1\nlambda_size 1\ngroup\n1\n-32769\nsandwich\n0")
+@example("i_size 2\nlambda_size 1\ngroup\n2\n0 40000\n0 0\nsandwich\n0 0")
+@example("i_size 1\nlambda_size 1\ngroup\n1\n0\nsandwich\n32768")
+@example("i_size 2\nlambda_size 1\ngroup\n1\n0\nsandwich\n0 40000")
 @settings(max_examples=300, deadline=None)
 def test_text_loaders_match_per_line_parser(text):
     assert_loads_like_per_line_parser(text)
