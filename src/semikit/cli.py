@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -242,10 +241,7 @@ def _cmd_verify(args) -> int:
     return 1 if report.failures else 0
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process, binding each subcommand's handler: a ``_cmd_*``
-    function replaced afterwards is not the one ``main`` calls."""
     parser = argparse.ArgumentParser(prog="semikit", description=__doc__)
     parser.add_argument(
         "--format", choices=("human", "structured"), default="human",
@@ -305,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (SemigroupError, OSError, ValueError) as exc:

@@ -8,6 +8,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -500,8 +501,11 @@ def _int_rows(lines: Sequence[str], width: int, what: str):
     the rest is reparsed by int(), line by line, for the same result or error."""
     if lines and all(line.isascii() for line in lines):
         try:
-            # comments=None: int() refuses a trailing '# ...', so must this
-            rows = np.loadtxt(lines, dtype=np.min_scalar_type(-max_order()), ndmin=2, comments=None)
+            # comments=None: int() refuses a trailing '# ...', so must this; numpy 1.23+
+            # casts a token its dtype refuses through a float unless that warning is an error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(lines, dtype=np.min_scalar_type(-max_order()), ndmin=2, comments=None)
         except ValueError:
             pass
         else:

@@ -97,16 +97,15 @@ class GreensStructure:
         [lo, hi] when D_lo lies strictly under D_hi, each D-class read at its
         least member.  S^1 x S^1 is the union of S^1 y over y in x S^1, so
         the rows are a float32 product of membership rows, exact below order
-        2**24, in slices of _BLOCK // n; one D-class needs no product."""
+        2**24, in slices of _BLOCK // n."""
         left, right = self.ideal_rows
-        reps, below = self.d_least, np.zeros((1, 1), dtype=bool)
-        if len(reps) > 1:
-            ideals = left[:, reps].astype(np.float32)
-            step = max(1, _BLOCK // len(left))
-            below = np.concatenate([  # [hi, lo] before the transpose
-                right[reps[a : a + step]].astype(np.float32) @ ideals > 0 for a in range(0, len(reps), step)
-            ]).T
-            np.fill_diagonal(below, False)
+        reps = self.d_least
+        ideals = left[:, reps].astype(np.float32)
+        step = max(1, _BLOCK // len(left))
+        below = np.concatenate([  # [hi, lo] before the transpose
+            right[reps[a : a + step]].astype(np.float32) @ ideals > 0 for a in range(0, len(reps), step)
+        ]).T
+        np.fill_diagonal(below, False)
         below.setflags(write=False)  # shared by every caller
         return below
 

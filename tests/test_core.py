@@ -1,5 +1,6 @@
 import itertools
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -399,6 +400,39 @@ def dumps_sg_oracle(S):
 def test_loads_sg_error_contract(text, error, message):
     with pytest.raises(error) as info:
         loads_sg(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def old_numpy_loadtxt(real):
+    """np.loadtxt as numpy 1.23+ had it: a token its dtype refuses is read as a
+    float and cast, with a DeprecationWarning that, raised, becomes ValueError."""
+    def loadtxt(lines, dtype, **kwargs):
+        try:
+            return real(lines, dtype=dtype, **kwargs)
+        except ValueError:
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string") from exc
+            return real(lines, dtype=np.float64, **kwargs).astype(dtype)
+    return loadtxt
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # as int16, 65536 wraps to 0 and 65537 to 1, both in range
+        ("1\n65536", OutOfRange, "entry at (0,0) = 65536 not in [0,1)"),
+        ("2\n0 65537\n0 0", OutOfRange, "entry at (0,1) = 65537 not in [0,2)"),
+        ("1\n1.0", ValueError, "invalid literal for int() with base 10: '1.0'"),
+    ],
+)
+def test_loads_sg_never_reads_a_token_through_a_float(text, error, message):
+    # warnings ignored, as in a CLI run, and loadtxt with the float fallback
+    with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", old_numpy_loadtxt(np.loadtxt)):
+        warnings.simplefilter("ignore")
+        with pytest.raises(error) as info:
+            loads_sg(text)
     assert type(info.value) is error and str(info.value) == message
 
 
