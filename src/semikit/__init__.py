@@ -34,7 +34,6 @@ from .greens import (
     greens_structure,
     h_class_is_group,
     is_regular,
-    is_stable,
     principal_ideals,
 )
 from .ideals import (

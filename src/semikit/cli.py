@@ -139,7 +139,7 @@ def _cmd_decompose(args) -> int:
         "i_elements": list(dec.i_elements),
         "lambda_elements": list(dec.lambda_elements),
         "group_elements": list(dec.group_elements),
-        "sandwich": [[int(v) for v in row] for row in dec.rms.sandwich],
+        "sandwich": dec.rms.sandwich.tolist(),
         "phi": list(dec.phi.map),
         "psi": list(dec.psi.map),
         "closed_form_inverse_agrees": all(dec.closed_form_agreement),
@@ -150,7 +150,7 @@ def _cmd_decompose(args) -> int:
             f"I = {list(dec.i_elements)}",
             f"Lambda = {list(dec.lambda_elements)}",
             f"G = H_e = {list(dec.group_elements)}",
-            f"sandwich P = {[list(map(int, row)) for row in dec.rms.sandwich]}",
+            f"sandwich P = {doc['sandwich']}",
             f"closed-form inverse agrees: {all(dec.closed_form_agreement)}",
         ]
     ))
@@ -162,18 +162,12 @@ def _cmd_quotient(args) -> int:
     members = tuple(int(tok) for tok in args.ideal.split(","))
     ideal = SubsetHandle(S, members)
     Q, pi = rees_quotient(S, ideal)
-    text = dumps_sg(Q)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        write_sg(Q, args.output)
         _emit(args, {"order": Q.order, "projection": list(pi.map)}, lambda: f"quotient order {Q.order} written to {args.output}")
     else:
-        doc = {
-            "order": Q.order,
-            "table": [[int(v) for v in row] for row in Q.table],
-            "projection": list(pi.map),
-        }
-        _emit(args, doc, lambda: text.rstrip("\n"))
+        doc = {"order": Q.order, "table": Q.table.tolist(), "projection": list(pi.map)}
+        _emit(args, doc, lambda: dumps_sg(Q).rstrip("\n"))
     return 0
 
 

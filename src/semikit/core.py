@@ -480,17 +480,17 @@ def subsemigroup_table(S: FiniteSemigroup, members: Sequence[int]):
 # .sg text format
 
 
-def _decimal_rows(S: FiniteSemigroup, sep: str):
-    """Each table row as its entries' decimal labels joined by sep: the n
-    labels are built once and gathered through the table a row at a time."""
-    labels = np.array([str(x) for x in range(S.order)], dtype=object)
-    return (sep.join(labels[row].tolist()) for row in S.table)
+def _decimal_rows(rows: np.ndarray, n: int, sep: str):
+    """Each row of entries in range(n) as their decimal labels joined by sep:
+    the n labels are built once and gathered through the rows one at a time."""
+    labels = np.array([str(x) for x in range(n)], dtype=object)
+    return (sep.join(labels[row].tolist()) for row in rows)
 
 
 def dumps_sg(S: FiniteSemigroup) -> str:
     """Cayley-table text: one '#' header, then n, then n rows of n entries."""
     header = S.name if S.name else f"semigroup of order {S.order}"
-    return "\n".join([f"# {header}", str(S.order), *_decimal_rows(S, " ")]) + "\n"
+    return "\n".join([f"# {header}", str(S.order), *_decimal_rows(S.table, S.order, " ")]) + "\n"
 
 
 def _int_rows(lines: Sequence[str], width: int, what: str):

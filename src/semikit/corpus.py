@@ -38,7 +38,6 @@ from .greens import (
     _ideal_rows,
     _labels,
     greens_structure,
-    is_stable,
 )
 from .ideals import (
     _is_ideal,
@@ -380,7 +379,7 @@ def fingerprint(semigroups: Iterable[FiniteSemigroup]) -> str:
     for S in semigroups:
         h.update(str(S.order).encode())
         h.update(b":")
-        h.update(",".join(_decimal_rows(S, ",")).encode())
+        h.update(",".join(_decimal_rows(S.table, S.order, ",")).encode())
         h.update(b";")
     return h.hexdigest()
 
@@ -655,9 +654,19 @@ def _check_subsemigroup_classification(S):
 
 
 def _check_stability(S):
-    result = is_stable(S)
-    if not (result.right and result.left):
-        return f"unstable witness {result.witness}"
+    """Stability, which every finite semigroup has: s J sx => s R sx (right)
+    and s J xs => s L xs (left).  The witness (s, x) has the least s, and
+    its right-side failure before its left."""
+    G = greens_structure(S)
+    T, j = S.table, G.j_class
+    bad = np.stack(  # bad[s, side, x]: side 0 reads sx, side 1 reads xs
+        ((j[T] == j[:, None]) & (G.r_class[T] != G.r_class[:, None]),
+         (j[T.T] == j[:, None]) & (G.l_class[T.T] != G.l_class[:, None])),
+        axis=1,
+    )
+    if bad.any():
+        s, _, x = np.unravel_index(np.argmax(bad), bad.shape)  # first True, row-major
+        return f"unstable witness {(int(s), int(x))}"
 
 
 def _check_monogenic_idempotent(S):

@@ -1,4 +1,4 @@
-"""Green's relations, principal ideals, egg-box structure, and stability."""
+"""Green's relations, principal ideals and egg-box structure."""
 
 from __future__ import annotations
 
@@ -262,24 +262,3 @@ def _first_restriction_violation(S: FiniteSemigroup, masks: np.ndarray):
             return start + row, ("LRH"[rel], int(a), int(b))
     return None
 
-
-class StabilityResult(NamedTuple):
-    right: bool
-    left: bool
-    witness: Optional[tuple[int, int]]
-
-
-def is_stable(S: FiniteSemigroup) -> StabilityResult:
-    """Right: s J sx => s R sx; left: s J xs => s L xs.  Finite semigroups
-    are stable, so a False here signals an internal bug.  The witness
-    (s, x) has the least s, and its right-side failure before its left."""
-    G = greens_structure(S)
-    T, j = S.table, G.j_class
-    bad = np.stack(  # bad[s, side, x]: side 0 reads sx, side 1 reads xs
-        ((j[T] == j[:, None]) & (G.r_class[T] != G.r_class[:, None]),
-         (j[T.T] == j[:, None]) & (G.l_class[T.T] != G.l_class[:, None])),
-        axis=1,
-    )
-    s, _, x = np.unravel_index(np.argmax(bad), bad.shape)  # first True, row-major
-    right, left = (~bad.any(axis=(0, 2))).tolist()
-    return StabilityResult(right, left, None if right and left else (int(s), int(x)))

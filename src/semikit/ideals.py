@@ -113,7 +113,6 @@ def _kernel_row(S: FiniteSemigroup) -> np.ndarray:
     return row
 
 
-@_derived
 def kernel_members(S: FiniteSemigroup) -> tuple[int, ...]:
     """The members of K, ascending, read off the kept row."""
     return tuple(np.flatnonzero(_kernel_row(S)).tolist())

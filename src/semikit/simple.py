@@ -19,6 +19,7 @@ from .core import (
     _check_element,
     _check_order,
     _cyclic_rows,
+    _decimal_rows,
     _derived,
     _idempotent_members,
     _int_rows,
@@ -38,14 +39,14 @@ from .errors import (
     SearchCapExceeded,
 )
 from .greens import _ideal_rows, greens_structure
-from .ideals import kernel_members
+from .ideals import _kernel_row
 
 DEFAULT_SEARCH_CAP = 16
 
 
 def is_simple(S: FiniteSemigroup) -> bool:
     """No proper two-sided ideal: the kernel is all of S."""
-    return len(kernel_members(S)) == S.order
+    return bool(_kernel_row(S).all())
 
 
 def is_completely_simple(S: FiniteSemigroup) -> bool:
@@ -139,11 +140,9 @@ def rees_decompose(S: FiniteSemigroup, e: Optional[int] = None) -> ReesDecomposi
     if S.table[e, e] != e:
         raise NotIdempotent(f"{e} is not idempotent")
     i_arr, lam_arr, g_arr, GT, P, phi, psi = _rees_coordinates(S, e)
-    if P.min() < 0:  # lam*i outside H_e
-        raise BadSandwichEntry(f"sandwich entries must lie in [0,{g_arr.size})")
     realized = FiniteSemigroup(_rees_table(i_arr.size, lam_arr.size, GT, P), validate=False)
     rms = ReesMatrixSemigroup(i_arr.size, lam_arr.size, FiniteSemigroup(GT, validate=False), P, realized)
-    phi, psi = SemigroupMorphism(realized, S, phi), SemigroupMorphism(S, realized, psi)  # psi's -1: OutOfRange
+    phi, psi = SemigroupMorphism(realized, S, phi), SemigroupMorphism(S, realized, psi)
     return ReesDecomposition(S, e, *(tuple(a.tolist()) for a in (i_arr, lam_arr, g_arr)), rms, phi, psi)
 
 
@@ -299,17 +298,17 @@ def _product_rows(table: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray
 
 
 def dumps_rms(rms: ReesMatrixSemigroup) -> str:
-    lines = [
+    ng = rms.group.order  # group table and sandwich entries are group indices
+    return "\n".join([
         "# rees matrix semigroup",
         f"i_size {rms.i_size}",
         f"lambda_size {rms.lambda_size}",
         "group",
-    ]
-    lines.append(str(rms.group.order))
-    lines.extend(" ".join(str(int(v)) for v in row) for row in rms.group.table)
-    lines.append("sandwich")
-    lines.extend(" ".join(str(int(v)) for v in row) for row in rms.sandwich)
-    return "\n".join(lines) + "\n"
+        str(ng),
+        *_decimal_rows(rms.group.table, ng, " "),
+        "sandwich",
+        *_decimal_rows(rms.sandwich, ng, " "),
+    ]) + "\n"
 
 
 def _rms_header(line: str, key: str) -> int:

@@ -309,6 +309,18 @@ def test_structured_mode_renders_no_human_text(monkeypatch, pb_file, capsys):
         main(["greens", pb_file])
 
 
+def test_structured_quotient_builds_no_sg_text(monkeypatch, pb_file, capsys):
+    # without -o, the quotient's .sg text is built only when it is printed
+    def refuse(*args):
+        raise AssertionError("quotient text built")
+
+    monkeypatch.setattr(cli_mod, "dumps_sg", refuse)
+    assert main(["--format", "structured", "quotient", pb_file, "--ideal", "0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["table"] == [[0, 0, 0], [0, 1, 1], [0, 2, 2]]
+    with pytest.raises(AssertionError, match="quotient text"):
+        main(["quotient", pb_file, "--ideal", "0,1"])
+
+
 def test_verify_text_line_names_skips(z3_file, tmp_path, capsys):
     assert main(["verify", z3_file]) == 0
     assert capsys.readouterr().out == "14 passed, 0 failed\n"

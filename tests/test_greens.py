@@ -451,7 +451,7 @@ def test_restriction_rejects_irregular(t2):
 
 def test_stability(z3, l2, t2, pb, rb22):
     for S in (z3, l2, t2, pb, rb22):
-        assert sk.is_stable(S) == (True, True, None)
+        assert corpus_mod._check_stability(S) is None
 
 
 def regularity_message_oracle(S, T):
@@ -494,15 +494,22 @@ def stability_oracle(S, G):
     return (right, left, witness)
 
 
+def stability_text(oracle):
+    """The verify check's witness text for stability_oracle's verdict."""
+    return None if oracle[2] is None else f"unstable witness {oracle[2]}"
+
+
 def test_stability_matches_row_loop(monkeypatch, census4):
     # merging two L (or R) classes can only hide instability, so the broken
-    # structures merge J classes or split L or R into singletons; the
-    # witnesses, sides and their order must equal the per-row loop's
-    real = greens.greens_structure
+    # structures merge J classes or split L or R into singletons; the check's
+    # witness, with its side order, must equal the per-row loop's, and the
+    # broken structures must fail on each side alone and on both
+    real = corpus_mod.greens_structure
     seen = set()
     for S in census4:
         G = real(S)
-        assert tuple(sk.is_stable(S)) == stability_oracle(S, G) == (True, True, None)
+        assert stability_oracle(S, G) == (True, True, None)
+        assert corpus_mod._check_stability(S) is None
         merged_j = np.where(G.j_class == 1, 0, G.j_class)
         singletons = np.arange(S.order)
         for broken in (
@@ -512,8 +519,22 @@ def test_stability_matches_row_loop(monkeypatch, census4):
             dataclasses.replace(G, r_class=singletons),
             dataclasses.replace(G, j_class=0 * singletons, l_class=singletons, r_class=singletons),
         ):
-            monkeypatch.setattr(greens, "greens_structure", lambda X, S=S, b=broken: b if X is S else real(X))
-            result = tuple(sk.is_stable(S))
-            assert result == stability_oracle(S, broken), (S.name, result)
-            seen.add(result[:2])
+            monkeypatch.setattr(corpus_mod, "greens_structure", lambda X, S=S, b=broken: b if X is S else real(X))
+            oracle = stability_oracle(S, broken)
+            witness = corpus_mod._check_stability(S)
+            assert witness == stability_text(oracle), (S.name, witness)
+            seen.add(oracle[:2])
     assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_verify_reports_instability_with_the_oracle_witness(monkeypatch, t2):
+    # under a Green structure with one J-class and singleton L- and R-classes,
+    # verify_suite's stability entry fails with the per-row loop's witness
+    real = corpus_mod.greens_structure
+    singletons = np.arange(t2.order)
+    broken = dataclasses.replace(real(t2), j_class=0 * singletons, l_class=singletons, r_class=singletons)
+    monkeypatch.setattr(corpus_mod, "greens_structure", lambda X: broken if X is t2 else real(X))
+    oracle = stability_oracle(t2, broken)
+    assert oracle[2] is not None
+    [entry] = [e for e in corpus_mod.verify_suite([("t2", t2)]).entries if e.check == "stability"]
+    assert (entry.status, entry.witness) == ("fail", stability_text(oracle))

@@ -521,6 +521,32 @@ def test_rms_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.realized.table, rms.realized.table)
 
 
+def dumps_rms_oracle(rms):
+    """The writer that joins str(int(v)) of every group-table and sandwich entry."""
+    lines = ["# rees matrix semigroup", f"i_size {rms.i_size}", f"lambda_size {rms.lambda_size}", "group"]
+    lines.append(str(rms.group.order))
+    lines.extend(" ".join(str(int(v)) for v in row) for row in rms.group.table)
+    lines.append("sandwich")
+    lines.extend(" ".join(str(int(v)) for v in row) for row in rms.sandwich)
+    return "\n".join(lines) + "\n"
+
+
+def test_dumps_rms_matches_per_entry_join(census4):
+    # the decompositions of census(4)'s kernels, the rees_roundtrip grid, and
+    # Z1024, whose group table has four-digit labels
+    kernels = [sk.subsemigroup_table(S, kernel_members(S))[0] for S in census4]
+    grid = [
+        gen_random_rees(i, lam, group, seed).realized
+        for group in ("trivial", "z2", "z3", "z4", "z2xz2", "s3")
+        for i in (1, 2, 3)
+        for lam in (1, 2, 3)
+        for seed in (1, 2)
+    ]
+    for S in kernels + grid + [sk.gen_standard("cyclic", 1024)]:
+        rms = sk.rees_decompose(S).rms
+        assert dumps_rms(rms) == dumps_rms_oracle(rms), S.name
+
+
 @pytest.mark.parametrize(
     "text",
     [
