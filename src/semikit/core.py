@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -480,17 +480,35 @@ def subsemigroup_table(S: FiniteSemigroup, members: Sequence[int]):
 # .sg text format
 
 
-def _decimal_rows(rows: np.ndarray, n: int, sep: str):
-    """Each row of entries in range(n) as their decimal labels joined by sep:
-    the n labels are built once and gathered through the rows one at a time."""
-    labels = np.array([str(x) for x in range(n)], dtype=object)
-    return (sep.join(labels[row].tolist()) for row in rows)
+@lru_cache(maxsize=16)
+def _decimal_labels(n: int, sep: str) -> np.ndarray:
+    """ASCII bytes of each x in range(n), null-padded to one width, then sep; read-only, as it is shared."""
+    labels = np.array([str(x).ljust(len(str(n - 1)), "\0") + sep for x in range(n)], dtype=bytes)
+    labels.flags.writeable = False
+    return labels
+
+
+def _table_text(rows: np.ndarray, n: int, sep: str, end: str):
+    """Rows of entries in range(n) as text, at most _BLOCK cells at a time: each
+    entry's decimal label, then sep, or end (both one ASCII character) in a row's last column."""
+    labels, step = _decimal_labels(n, sep), max(1, _BLOCK // rows.shape[1])
+    for a in range(0, len(rows), step):
+        cells = labels.take(rows[a : a + step])
+        cells.view(np.uint8)[:, -1] = ord(end)  # each row's last byte is its last label's sep
+        yield cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _sg_text(S: FiniteSemigroup):
+    """.sg text in row slices; each line boundary str.splitlines finds in the
+    name is a space, a trailing one too, as a "\\0" sentinel keeps it."""
+    header = S.name if S.name else f"semigroup of order {S.order}"
+    yield "# " + " ".join((header + "\0").splitlines())[:-1] + f"\n{S.order}\n"
+    yield from _table_text(S.table, S.order, " ", "\n")
 
 
 def dumps_sg(S: FiniteSemigroup) -> str:
     """Cayley-table text: one '#' header, then n, then n rows of n entries."""
-    header = S.name if S.name else f"semigroup of order {S.order}"
-    return "\n".join([f"# {header}", str(S.order), *_decimal_rows(S.table, S.order, " ")]) + "\n"
+    return "".join(_sg_text(S))
 
 
 def _int_rows(lines: Sequence[str], width: int, what: str):
@@ -533,7 +551,7 @@ def loads_sg(text: str, name: Optional[str] = None) -> FiniteSemigroup:
 
 def write_sg(S: FiniteSemigroup, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_sg(S))
+        fh.writelines(_sg_text(S))
 
 
 def read_sg(path) -> FiniteSemigroup:

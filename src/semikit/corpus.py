@@ -19,7 +19,7 @@ from .core import (
     FiniteSemigroup,
     _check_order,
     _cyclic_rows,
-    _decimal_rows,
+    _table_text,
     direct_product,
     from_table,
     idempotents,
@@ -374,13 +374,16 @@ def census(max_order: int, fold_opposites: bool = False) -> list[FiniteSemigroup
 
 
 def fingerprint(semigroups: Iterable[FiniteSemigroup]) -> str:
-    """SHA-256 over the concatenated table encodings."""
+    """SHA-256 over each table's encoding in turn: f"{n}:", its entries in
+    row-major order as decimals joined by ",", then ";".  Each row slice is
+    hashed once the next is made, so the last can end in ";", not ","."""
     h = hashlib.sha256()
     for S in semigroups:
-        h.update(str(S.order).encode())
-        h.update(b":")
-        h.update(",".join(_decimal_rows(S.table, S.order, ",")).encode())
-        h.update(b";")
+        text = f"{S.order}:"
+        for chunk in _table_text(S.table, S.order, ",", ","):
+            h.update(text.encode())
+            text = chunk
+        h.update(f"{text[:-1]};".encode())
     return h.hexdigest()
 
 

@@ -19,12 +19,12 @@ from .core import (
     _check_element,
     _check_order,
     _cyclic_rows,
-    _decimal_rows,
     _derived,
     _idempotent_members,
     _int_rows,
     _is_index_dtype,
     _positions,
+    _table_text,
     from_table,
     is_group,
     max_order,
@@ -297,18 +297,17 @@ def _product_rows(table: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray
 # .rms text format
 
 
+def _rms_text(rms: ReesMatrixSemigroup):
+    """.rms text a row slice at a time; the group table and sandwich entries are group indices."""
+    ng = rms.group.order
+    yield f"# rees matrix semigroup\ni_size {rms.i_size}\nlambda_size {rms.lambda_size}\ngroup\n{ng}\n"
+    yield from _table_text(rms.group.table, ng, " ", "\n")
+    yield "sandwich\n"
+    yield from _table_text(rms.sandwich, ng, " ", "\n")
+
+
 def dumps_rms(rms: ReesMatrixSemigroup) -> str:
-    ng = rms.group.order  # group table and sandwich entries are group indices
-    return "\n".join([
-        "# rees matrix semigroup",
-        f"i_size {rms.i_size}",
-        f"lambda_size {rms.lambda_size}",
-        "group",
-        str(ng),
-        *_decimal_rows(rms.group.table, ng, " "),
-        "sandwich",
-        *_decimal_rows(rms.sandwich, ng, " "),
-    ]) + "\n"
+    return "".join(_rms_text(rms))
 
 
 def _rms_header(line: str, key: str) -> int:
@@ -345,7 +344,7 @@ def loads_rms(text: str) -> ReesMatrixSemigroup:
 
 def write_rms(rms: ReesMatrixSemigroup, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_rms(rms))
+        fh.writelines(_rms_text(rms))
 
 
 def read_rms(path) -> ReesMatrixSemigroup:

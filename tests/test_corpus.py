@@ -413,6 +413,25 @@ def test_fingerprint_matches_per_entry_encoding(census4, seeded_closures):
     assert fingerprint(seeded_closures) == fingerprint_oracle(seeded_closures)
 
 
+def test_table_text_memory_bounded(monkeypatch, tmp_path):
+    # Z4096's .sg text is 79 MB: written and hashed a row slice at a time,
+    # not held whole (152 MB traced when it was)
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    S = sk.gen_standard("cyclic", 4096)
+    path = tmp_path / "z.sg"
+    for write in (lambda: sk.write_sg(S, path), lambda: fingerprint([S])):
+        tracemalloc.start()
+        try:
+            result = write()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+    assert result == "b2772047f9ca6cd41f7b50cd7d4843aac34ad0ea35c2f9172929fbb27a392aff"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "ac5835d2e0230a39616187ee142b73bee2327a7325dd3dabf804fe33bc634c27"
+
+
 def test_canonical_form_idempotent(t2, pb):
     for S in (t2, pb):
         c = canonical_form(S)

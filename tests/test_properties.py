@@ -1,5 +1,7 @@
 """Property-based checks over random tables and corpus instances."""
 
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -171,6 +173,23 @@ def test_associativity_witness_is_the_least_triple(tn):
             assert associativity_witness(arr) == first_violation(table, range(n))
             with mock.patch.object(core, "DIRECT_CHECK_LIMIT", 0):
                 assert associativity_witness(arr) == first_violation(table, middles)
+
+
+@given(st.text())
+@example("a\n0")  # once read back as a third table row
+@example("a\r\nb\rc\x0bd\x0ce\x1cf\x1dg\x1eh\x85i\u2028j\u2029")
+@settings(max_examples=200, deadline=None)
+def test_sg_roundtrip_any_name(name):
+    # every str.splitlines boundary in the name is written as a space
+    S = sk.FiniteSemigroup(np.array([[0, 1], [1, 0]]), name=name)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.sg")
+        sk.write_sg(S, path)
+        assert np.array_equal(sk.read_sg(path).table, S.table)
+    lines = sk.dumps_sg(S).splitlines()
+    assert lines[1:] == ["2", "0 1", "1 0"]
+    if name.splitlines() == [name]:
+        assert lines[0] == f"# {name}"
 
 
 _DOCUMENTS = (

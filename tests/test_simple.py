@@ -531,10 +531,11 @@ def dumps_rms_oracle(rms):
     return "\n".join(lines) + "\n"
 
 
-def test_dumps_rms_matches_per_entry_join(census4):
-    # the decompositions of census(4)'s kernels, the rees_roundtrip grid, and
-    # Z1024, whose group table has four-digit labels
-    kernels = [sk.subsemigroup_table(S, kernel_members(S))[0] for S in census4]
+def test_dumps_rms_matches_per_entry_join(census4, seeded_closures, tmp_path):
+    # the decompositions of the kernels of census(4) and of the seeded closures,
+    # the rees_roundtrip grid, and Z1024, whose group table has labels of 1-4
+    # digits and is written in two row slices
+    kernels = [sk.subsemigroup_table(S, kernel_members(S))[0] for S in [*census4, *seeded_closures]]
     grid = [
         gen_random_rees(i, lam, group, seed).realized
         for group in ("trivial", "z2", "z3", "z4", "z2xz2", "s3")
@@ -545,6 +546,8 @@ def test_dumps_rms_matches_per_entry_join(census4):
     for S in kernels + grid + [sk.gen_standard("cyclic", 1024)]:
         rms = sk.rees_decompose(S).rms
         assert dumps_rms(rms) == dumps_rms_oracle(rms), S.name
+        sk.write_rms(rms, tmp_path / "s.rms")
+        assert (tmp_path / "s.rms").read_bytes() == dumps_rms(rms).encode(), S.name
 
 
 @pytest.mark.parametrize(
