@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import corpus as corpus_mod
-from .core import SubsetHandle, center, idempotents, is_cancellative, is_group, is_monoid, read_sg, write_sg, dumps_sg
+from .core import SubsetHandle, _sg_text, center, idempotents, is_cancellative, is_group, is_monoid, read_sg, write_sg
 from .errors import SemigroupError
 from .greens import eggbox_dot, greens_structure
 from .ideals import kernel, rees_quotient
@@ -165,9 +165,10 @@ def _cmd_quotient(args) -> int:
     if args.output:
         write_sg(Q, args.output)
         _emit(args, {"order": Q.order, "projection": list(pi.map)}, lambda: f"quotient order {Q.order} written to {args.output}")
+    elif args.format == "structured":
+        sys.stdout.write(_json({"order": Q.order, "table": Q.table.tolist(), "projection": list(pi.map)}) + "\n")
     else:
-        doc = {"order": Q.order, "table": Q.table.tolist(), "projection": list(pi.map)}
-        _emit(args, doc, lambda: dumps_sg(Q).rstrip("\n"))
+        sys.stdout.writelines(_sg_text(Q))  # the .sg text, a row slice at a time
     return 0
 
 

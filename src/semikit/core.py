@@ -351,12 +351,12 @@ class CancellativityResult(NamedTuple):
 
 
 def is_cancellative(S: FiniteSemigroup) -> CancellativityResult:
-    """Left/right cancellativity with a deterministic first witness: the
-    least (a, b, c), a < b, with c*a = c*b on a failing left side or a*c = b*c
-    on a failing right side, which is the left side of the opposite table T.T."""
-    left, right = _first_collision(S.table), _first_collision(S.table.T)
-    found = [w for w in (left, right) if w is not None]
-    return CancellativityResult(left is None, right is None, min(found, default=None))
+    """Left/right cancellativity, every row of T (of T.T) a permutation, with a
+    deterministic first witness on a failing side: the least (a, b, c), a < b,
+    with c*a = c*b (left) or a*c = b*c (right, the left side of T.T)."""
+    left, right = _permutation_rows(S.table), _permutation_rows(S.table.T)
+    found = [_first_collision(U) for U, holds in ((S.table, left), (S.table.T, right)) if not holds]
+    return CancellativityResult(left, right, min(found, default=None))
 
 
 def _first_collision(U: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -375,6 +375,15 @@ def _first_collision(U: np.ndarray) -> Optional[tuple[int, int, int]]:
     return a, a + 1 + b, int(same[:, b].argmax())
 
 
+def _permutation_rows(U: np.ndarray) -> bool:
+    """Whether every row of U, an n×n table over range(n), is a permutation:
+    for U = T, left cancellativity (c*a = c*b only if a = b), for U = T.T
+    right.  Sorted in slices of _BLOCK // n rows, in a narrow dtype."""
+    n = len(U)
+    step, dtype = max(1, _BLOCK // n), np.min_scalar_type(n - 1)
+    return all((np.sort(U[a : a + step].astype(dtype), axis=1) == np.arange(n)).all() for a in range(0, n, step))
+
+
 @_derived
 def is_monoid(S: FiniteSemigroup) -> Optional[int]:
     """Index of the two-sided identity, if any (it is unique)."""
@@ -383,6 +392,7 @@ def is_monoid(S: FiniteSemigroup) -> Optional[int]:
     return int(identity.argmax()) if identity.any() else None
 
 
+@_derived
 def is_group(S: FiniteSemigroup) -> bool:
     """A monoid in which every element has a right and a left inverse."""
     e = is_monoid(S)

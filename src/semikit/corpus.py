@@ -4,6 +4,7 @@ generated instance."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -19,11 +20,11 @@ from .core import (
     FiniteSemigroup,
     _check_order,
     _cyclic_rows,
+    _idempotent_members,
+    _permutation_rows,
     _table_text,
     direct_product,
     from_table,
-    idempotents,
-    is_cancellative,
     is_group,
     is_monoid,
 )
@@ -40,6 +41,7 @@ from .greens import (
     greens_structure,
 )
 from .ideals import (
+    _distinct_rows,
     _is_ideal,
     _kernel_row,
     _minimal_ideal_table,
@@ -98,7 +100,8 @@ class SplitMix64:
 
 def _cyclic(k: int) -> FiniteSemigroup:
     _check_order(k)
-    table = (np.arange(k)[:, None] + np.arange(k)[None, :]) % k
+    table = np.add.outer(np.arange(k), np.arange(k))
+    np.remainder(table, k, out=table)  # in place: one n×n array, not two
     return FiniteSemigroup(table, name=f"Z{k}", validate=False)
 
 
@@ -476,7 +479,7 @@ class VerificationReport:
 
 
 def _check_idempotent_existence(S):
-    if len(idempotents(S)) < 1:
+    if not _idempotent_members(S):
         return "no idempotent"
 
 
@@ -500,19 +503,20 @@ def _check_kernel(S):
         return f"kernel not minimal: {int(smaller.argmax())} generates a smaller ideal"
     if not report.idempotents:
         return "kernel has no idempotent"
-    for e, verdict in report.witnesses.items():
-        if not all(verdict):
-            return f"minimal-ideal proposition fails at e={e} in E(K): {tuple(verdict)}"
-    for part, side in ((report.min_left, "left"), (report.min_right, "right")):
-        members = [x for h in part for x in h.members]
-        if sorted(members) != K:
+    failing = np.flatnonzero(~report.verdicts.all(axis=1))
+    if failing.size:
+        e, verdict = report.idempotents[failing[0]], tuple(report.verdicts[failing[0]].tolist())
+        return f"minimal-ideal proposition fails at e={e} in E(K): {verdict}"
+    for rows, side in ((report.se, "left"), (report.es, "right")):
+        distinct = _distinct_rows(rows)  # a partition of K: its union, and sizes summing to |K|
+        if distinct.sum() != len(K) or (distinct.any(axis=0) != in_kernel).any():
             return f"minimal {side} ideals do not partition K"
     if misses.any():
         return f"S^1 x S^1 does not contain K at x={int(misses.argmax())}"
 
 
 def _check_minimal_ideal_equivalences(S):
-    E = idempotents(S).members
+    E = _idempotent_members(S)
     table = _minimal_ideal_table(S, E)[2]
     disagree = table.any(axis=1) != table.all(axis=1)
     if disagree.any():
@@ -521,13 +525,13 @@ def _check_minimal_ideal_equivalences(S):
 
 
 def _check_cancellative_iff_group(S):
-    c = is_cancellative(S)
-    if (c.left and c.right) != is_group(S):
-        return f"cancellative={c.left and c.right} but group={is_group(S)}"
+    cancellative = _permutation_rows(S.table) and _permutation_rows(S.table.T)
+    if cancellative != is_group(S):
+        return f"cancellative={cancellative} but group={is_group(S)}"
 
 
 def _check_single_idempotent_monoid(S):
-    if is_monoid(S) is not None and len(idempotents(S)) == 1 and not is_group(S):
+    if is_monoid(S) is not None and len(_idempotent_members(S)) == 1 and not is_group(S):
         return "monoid with E(S)={1} is not a group"
 
 
@@ -565,22 +569,37 @@ def _check_d_composition(S):
     mutual = (right[r] & left.T).any(axis=1) & (right & left[:, r].T).any(axis=1)
     if not mutual.all() or (G.d_order & G.d_order.T).any():
         return "D != J"
-    # every egg-box cell nonempty <=> D = RL = LR inside each D-class
-    for box in G.eggbox:
-        sizes = {len(cell) for row in box.cells for cell in row}
-        if 0 in sizes:
-            return f"empty egg-box cell in D-class {box.d_id}"
-        if len(sizes) != 1:
-            return f"unequal H-class sizes inside D-class {box.d_id}"
+    # every egg-box cell nonempty (#H = #R·#L) <=> D = RL = LR inside each D-class,
+    # and cells of one size: each D-class's {R}, {L} and cell sizes, in one pass
+    boxes: dict[int, tuple[set, set, list]] = {}
+    for (d, r, l), size in collections.Counter(zip(*(c.tolist() for c in (G.d_class, G.r_class, G.l_class)))).items():
+        rows, cols, sizes = boxes.setdefault(d, (set(), set(), []))
+        rows.add(r)
+        cols.add(l)
+        sizes.append(size)
+    for d in sorted(boxes):
+        rows, cols, sizes = boxes[d]
+        if len(sizes) != len(rows) * len(cols):
+            return f"empty egg-box cell in D-class {d}"
+        if len(set(sizes)) != 1:
+            return f"unequal H-class sizes inside D-class {d}"
 
 
 def _check_h_meet(S):
+    """H = L ∧ R: the partitions by h and by (l, r) are equal iff each has as
+    many classes as their meet.  On a failure, pairs are scanned for the first
+    witness in slices of _BLOCK // n rows."""
     G = greens_structure(S)
-    h, l, r = (c[:, None] == c for c in (G.h_class, G.l_class, G.r_class))
-    bad = np.argwhere(h != (l & r))
-    if len(bad):
-        a, b = bad[0]
-        return f"H != L^R at ({a},{b})"
+    h, l, r = (c.tolist() for c in (G.h_class, G.l_class, G.r_class))
+    if len(set(h)) == len(set(zip(l, r))) == len(set(zip(h, l, r))):
+        return None
+    h, l, r, step = G.h_class, G.l_class, G.r_class, max(1, _BLOCK // S.order)
+    for a in range(0, S.order, step):
+        rows = slice(a, a + step)
+        bad = (h[rows, None] == h) != ((l[rows, None] == l) & (r[rows, None] == r))
+        if bad.any():
+            i, b = np.unravel_index(np.argmax(bad), bad.shape)  # first True, row-major
+            return f"H != L^R at ({a + i},{b})"
 
 
 def _check_kernel_rees_roundtrip(S):

@@ -51,11 +51,14 @@ def _labels(keys: np.ndarray, seen: Optional[dict] = None) -> np.ndarray:
     return np.array([seen.setdefault(row, len(seen)) for row in rows.tolist()], dtype=np.int64)
 
 
-def _members_of(labels: np.ndarray) -> list[tuple[int, ...]]:
-    out: list[list[int]] = [[] for _ in range(int(labels.max()) + 1)]
-    for x, c in enumerate(labels.tolist()):
-        out[c].append(x)
-    return [tuple(m) for m in out]
+def _classes(field: str) -> cached_property:
+    """The classes of the label array ``field`` as member tuples, by label."""
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        out: list[list[int]] = [[] for _ in range(int(getattr(self, field).max()) + 1)]
+        for x, c in enumerate(getattr(self, field).tolist()):
+            out[c].append(x)
+        return tuple(map(tuple, out))
+    return cached_property(members)
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,26 @@ class GreensStructure:
     j_class: np.ndarray
     h_class: np.ndarray
     d_class: np.ndarray
-    l_classes: tuple[tuple[int, ...], ...]
-    r_classes: tuple[tuple[int, ...], ...]
-    j_classes: tuple[tuple[int, ...], ...]
-    h_classes: tuple[tuple[int, ...], ...]
-    d_classes: tuple[tuple[int, ...], ...]
-    eggbox: tuple[EggBox, ...]
+    # the class tuples, each class's members ascending, built on first read
+    l_classes = _classes("l_class")
+    r_classes = _classes("r_class")
+    h_classes = _classes("h_class")
+    d_classes = _classes("d_class")
+    j_classes = property(lambda self: self.d_classes)  # D = J on a finite semigroup
+
+    @cached_property
+    def eggbox(self) -> tuple[EggBox, ...]:
+        """One grid per D-class, built on first read: its R- and L-classes
+        ascending, and the H-class members in each (R, L) cell."""
+        l_of, r_of, boxes = self.l_class.tolist(), self.r_class.tolist(), []
+        for d_id, dm in enumerate(self.d_classes):
+            r_ids, l_ids = sorted({r_of[x] for x in dm}), sorted({l_of[x] for x in dm})
+            grid: dict[tuple[int, int], list[int]] = {}
+            for x in dm:
+                grid.setdefault((r_of[x], l_of[x]), []).append(x)
+            cells = tuple(tuple(tuple(grid.get((ri, li), ())) for li in l_ids) for ri in r_ids)
+            boxes.append(EggBox(d_id, tuple(r_ids), tuple(l_ids), cells))
+        return tuple(boxes)
 
     @cached_property
     def d_least(self) -> np.ndarray:
@@ -110,22 +127,13 @@ class GreensStructure:
         return below
 
     def to_dict(self) -> dict:
-        return {
-            "l_classes": [list(c) for c in self.l_classes],
-            "r_classes": [list(c) for c in self.r_classes],
-            "j_classes": [list(c) for c in self.j_classes],
-            "h_classes": [list(c) for c in self.h_classes],
-            "d_classes": [list(c) for c in self.d_classes],
-            "eggbox": [
-                {
-                    "d_class": box.d_id,
-                    "r_ids": list(box.r_ids),
-                    "l_ids": list(box.l_ids),
-                    "cells": [[list(cell) for cell in row] for row in box.cells],
-                }
-                for box in self.eggbox
-            ],
-        }
+        doc = {f"{k}_classes": [list(c) for c in getattr(self, f"{k}_classes")] for k in "lrjhd"}
+        doc["eggbox"] = [
+            {"d_class": box.d_id, "r_ids": list(box.r_ids), "l_ids": list(box.l_ids),
+             "cells": [[list(cell) for cell in row] for row in box.cells]}
+            for box in self.eggbox
+        ]
+        return doc
 
 
 def _lrh_labels(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,7 +144,7 @@ def _lrh_labels(S: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 @_derived
 def greens_structure(S: FiniteSemigroup) -> GreensStructure:
-    """The five Green partitions and the egg-box grids, once per semigroup.
+    """The five Green partitions as label arrays, once per semigroup.
     D is L∘R, so the least member of D_x is the least member of R_z over z
     in L_x.  On a finite semigroup D = J, so the J partition is D's."""
     n = S.order
@@ -148,37 +156,7 @@ def greens_structure(S: FiniteSemigroup) -> GreensStructure:
     d = _labels(d_least[l])
     for labels in (l, r, h, d):
         labels.setflags(write=False)  # shared by every caller
-
-    eggboxes = []
-    d_members = _members_of(d)
-    l_of, r_of = l.tolist(), r.tolist()
-    for d_id, dm in enumerate(d_members):
-        r_ids = sorted({r_of[x] for x in dm})
-        l_ids = sorted({l_of[x] for x in dm})
-        grid: dict[tuple[int, int], list[int]] = {}
-        for x in dm:
-            grid.setdefault((r_of[x], l_of[x]), []).append(x)
-        cells = tuple(
-            tuple(tuple(grid.get((ri, li), ())) for li in l_ids) for ri in r_ids
-        )
-        eggboxes.append(EggBox(d_id, tuple(r_ids), tuple(l_ids), cells))
-
-    d_classes = tuple(tuple(m) for m in d_members)
-    return GreensStructure(
-        table=S.table,
-        ideal_rows=_ideal_rows(S),
-        l_class=l,
-        r_class=r,
-        j_class=d,
-        h_class=h,
-        d_class=d,
-        l_classes=tuple(_members_of(l)),
-        r_classes=tuple(_members_of(r)),
-        j_classes=d_classes,
-        h_classes=tuple(_members_of(h)),
-        d_classes=d_classes,
-        eggbox=tuple(eggboxes),
-    )
+    return GreensStructure(S.table, _ideal_rows(S), l_class=l, r_class=r, j_class=d, h_class=h, d_class=d)
 
 
 def eggbox_dot(G: GreensStructure) -> str:

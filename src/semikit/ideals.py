@@ -4,6 +4,7 @@ and the Swelling-Lemma check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,7 +88,7 @@ def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray,
     left, right = _ideal_rows(S)  # row x: S^1 x, x S^1
     se, es = left[E], right[E]
     back_l, back_r = left[:, E].T, right[:, E].T  # [i, x]: e_i in S^1 x, in x S^1
-    table = np.stack((
+    table = np.array((
         # S^1 x lies in Se for x in Se, so Se is minimal iff each such S^1 x holds e
         ~(se & ~back_l).any(axis=1),
         # eSe = eS ∩ Se is a group iff e is in uS^1 and S^1 u for each u in it:
@@ -95,7 +96,7 @@ def _minimal_ideal_table(S: FiniteSemigroup, E) -> tuple[np.ndarray, np.ndarray,
         ~(se & es & ~(back_l & back_r)).any(axis=1),
         ~(es & ~back_r).any(axis=1),
         _kernel_row(S)[E],
-    ), axis=1)
+    )).T  # len(E)×4
     return se, es, table
 
 
@@ -121,10 +122,28 @@ def kernel_members(S: FiniteSemigroup) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class KernelReport:
     kernel: SubsetHandle
-    idempotents: tuple[int, ...]
-    witnesses: dict  # e in E(K) -> MinimalIdealVerdict
-    min_left: tuple[SubsetHandle, ...]
-    min_right: tuple[SubsetHandle, ...]
+    idempotents: tuple[int, ...]  # E(K), ascending
+    se: np.ndarray  # [i]: the membership row of S e, e the i-th of E(K)
+    es: np.ndarray  # [i]: the membership row of e S
+    verdicts: np.ndarray  # [i]: minimal_ideal_equivalences at e, len(E(K))×4 bool
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """e in E(K) -> MinimalIdealVerdict, built on first read."""
+        return dict(zip(self.idempotents, (MinimalIdealVerdict(*row) for row in self.verdicts.tolist())))
+
+    @cached_property
+    def min_left(self) -> tuple[SubsetHandle, ...]:
+        """The minimal left ideals, the distinct Se (min_right: eS), built on first read."""
+        return self._handles(self.se)
+
+    @cached_property
+    def min_right(self) -> tuple[SubsetHandle, ...]:
+        return self._handles(self.es)
+
+    def _handles(self, rows: np.ndarray) -> tuple[SubsetHandle, ...]:
+        members = sorted(tuple(np.flatnonzero(row).tolist()) for row in _distinct_rows(rows))
+        return tuple(SubsetHandle(self.kernel.parent, m) for m in members)
 
     def to_dict(self) -> dict:
         return {
@@ -132,9 +151,7 @@ class KernelReport:
             "kernel_idempotents": list(self.idempotents),
             "min_left": [list(h.members) for h in self.min_left],
             "min_right": [list(h.members) for h in self.min_right],
-            "verdicts": {
-                str(e): list(v) for e, v in sorted(self.witnesses.items())
-            },
+            "verdicts": {str(e): v for e, v in zip(self.idempotents, self.verdicts.tolist())},
         }
 
 
@@ -142,18 +159,13 @@ def kernel(S: FiniteSemigroup) -> KernelReport:
     """Kernel K with its idempotents and the minimal one-sided ideals
     Se / eS for e in E(K)."""
     ek = np.flatnonzero(_kernel_row(S) & (S.table.diagonal() == np.arange(S.order)))
-    se, es, table = _minimal_ideal_table(S, ek)
-    witnesses = dict(zip(ek.tolist(), (MinimalIdealVerdict(*row) for row in table.tolist())))
-    min_left, min_right = (tuple(SubsetHandle(S, m) for m in _distinct_members(rows)) for rows in (se, es))
-    return KernelReport(SubsetHandle(S, kernel_members(S)), tuple(ek.tolist()), witnesses, min_left, min_right)
+    return KernelReport(SubsetHandle(S, kernel_members(S)), tuple(ek.tolist()), *_minimal_ideal_table(S, ek))
 
 
-def _distinct_members(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """The distinct rows of a bool membership array as sorted member tuples.
-    Rows are told apart by their bytes first, so each distinct row is listed
-    once however many rows repeat it (Se = S for all e in a left-zero S)."""
-    distinct = {row.tobytes(): row for row in rows}
-    return sorted(tuple(np.flatnonzero(row).tolist()) for row in distinct.values())
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a bool membership array, told apart by their
+    bytes: one row however many repeat it (Se = S for all e in a left-zero S)."""
+    return np.array(list({row.tobytes(): row for row in rows}.values()), dtype=bool)
 
 
 def enumerate_ideals(S: FiniteSemigroup) -> list[tuple[int, ...]]:

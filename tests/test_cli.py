@@ -215,6 +215,12 @@ def test_quotient(pb_file, capsys):
     assert doc["order"] == 3
 
 
+def test_human_quotient_prints_the_sg_text(pb_file, capsys):
+    S = sk.read_sg(pb_file)
+    assert main(["quotient", pb_file, "--ideal", "0,1"]) == 0
+    assert capsys.readouterr().out == sk.dumps_sg(sk.rees_quotient(S, sk.SubsetHandle(S, (0, 1)))[0])
+
+
 def test_quotient_rejects_non_ideal(pb_file, capsys):
     assert main(["quotient", pb_file, "--ideal", "2"]) == 2
     assert capsys.readouterr().err == "error: [2] is not a two-sided ideal\n"
@@ -310,11 +316,11 @@ def test_structured_mode_renders_no_human_text(monkeypatch, pb_file, capsys):
 
 
 def test_structured_quotient_builds_no_sg_text(monkeypatch, pb_file, capsys):
-    # without -o, the quotient's .sg text is built only when it is printed
+    # without -o, the quotient's .sg text is written only when it is printed
     def refuse(*args):
         raise AssertionError("quotient text built")
 
-    monkeypatch.setattr(cli_mod, "dumps_sg", refuse)
+    monkeypatch.setattr(cli_mod, "_sg_text", refuse)
     assert main(["--format", "structured", "quotient", pb_file, "--ideal", "0,1"]) == 0
     assert json.loads(capsys.readouterr().out)["table"] == [[0, 0, 0], [0, 1, 1], [0, 2, 2]]
     with pytest.raises(AssertionError, match="quotient text"):

@@ -189,7 +189,7 @@ def test_is_cancellative(z3, l2, pb):
 
 
 def test_is_cancellative_group_skips_witness_search():
-    # a group has no witness to find: the two collision sorts, one per side,
+    # a group has no witness to find: the two permutation sorts, one per side,
     # take about 0.03 s, while searching the n^2(n-1)/2 triples takes over 10 s
     S = sk.gen_standard("cyclic", 1000)
     start = time.perf_counter()
@@ -217,6 +217,28 @@ def test_is_cancellative_matches_triple_loop(census5, seeded_closures):
         assert result == cancellative_oracle(S), (S.name, result)
         sides.add(result[:2])
     # left-only, right-only and two-sided failures all occur
+    assert sides == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_permutation_rows_match_collision_search(census4):
+    # each side's verdict against the least-collision search it replaced: the
+    # census, seeded random tables, tables whose every row is a permutation,
+    # and Z1100, sorted in three row slices, with and without a collision in
+    # the last slice
+    rng = np.random.default_rng(0)
+    tables = [S.table for S in census4]
+    for n in (1, 2, 3, 5, 8):
+        tables += [rng.integers(0, n, (n, n)) for _ in range(20)]
+        tables += [np.argsort(rng.random((n, n)), axis=1) for _ in range(20)]
+    z = np.add.outer(np.arange(1100), np.arange(1100)) % 1100
+    collision = z.copy()
+    collision[1000, 5] = collision[1000, 6]
+    tables += [z, collision]
+    sides = set()
+    for T in tables:
+        verdicts = (core._first_collision(T) is None, core._first_collision(T.T) is None)
+        assert (core._permutation_rows(T), core._permutation_rows(T.T)) == verdicts
+        sides.add(verdicts)
     assert sides == {(True, True), (False, True), (True, False), (False, False)}
 
 

@@ -688,6 +688,106 @@ def test_d_equals_j_check_memory_bounded(monkeypatch):
     assert peak < 48 << 20
 
 
+def eggbox_statement_oracle(G):
+    """The egg-box statements read off the grids: in the first D-class
+    failing either, an empty cell before unequal cell sizes."""
+    for box in G.eggbox:
+        sizes = {len(cell) for row in box.cells for cell in row}
+        if 0 in sizes:
+            return f"empty egg-box cell in D-class {box.d_id}"
+        if len(sizes) != 1:
+            return f"unequal H-class sizes inside D-class {box.d_id}"
+    return None
+
+
+def test_eggbox_statements_match_the_grids(monkeypatch, census4):
+    # the check counts each D-class's cells from the labels; the oracle
+    # reads the grids built from the same labels.  Merged R or L labels
+    # give unequal sizes, split ones empty cells; H labels are not read
+    real = corpus_mod.greens_structure
+    relabel = (lambda c: np.where(c == 1, 0, c), np.zeros_like, lambda c: np.arange(len(c)))
+    found = set()
+    for S in census4:
+        for field, change in itertools.product(("r_class", "l_class", "h_class"), relabel):
+            G = dataclasses.replace(real(S), **{field: change(getattr(real(S), field))})
+            monkeypatch.setattr(corpus_mod, "greens_structure", lambda S, G=G: G)
+            result = corpus_mod._check_d_composition(S)
+            assert result == eggbox_statement_oracle(G), (S.name, field)
+            found.add((field, result and result.split(" D-class")[0]))
+    assert {statement for field, statement in found if field == "h_class"} == {None}
+    assert {statement for _, statement in found} == {
+        None, "empty egg-box cell in", "unequal H-class sizes inside"
+    }
+
+
+def test_verify_builds_no_class_tuples(census4):
+    # the checks read the kept label arrays and membership rows: no class
+    # tuple or egg-box grid is built, each being built only on first read
+    fresh = [sk.FiniteSemigroup(S.table, name=S.name, validate=False) for S in census4]
+    assert verify_suite(fresh).summary == {"pass": 3052, "fail": 0}
+    for S in fresh:
+        built = set(vars(corpus_mod.greens_structure(S)))
+        assert not built & {"eggbox", "l_classes", "r_classes", "h_classes", "d_classes"}, S.name
+
+
+def h_meet_oracle(G):
+    """The first pair (a, b), row-major, where H and L ∧ R disagree."""
+    h, l, r = (c[:, None] == c for c in (G.h_class, G.l_class, G.r_class))
+    bad = np.argwhere(h != (l & r))
+    if len(bad):
+        a, b = bad[0]
+        return f"H != L^R at ({a},{b})"
+    return None
+
+
+def test_h_meet_witness_matches_the_pair_scan(monkeypatch, census4):
+    # H labels merged after the fact, or rolled: a partition with as many
+    # classes that is not L ∧ R; LZ1100's H-classes 900 and 1000 merge in
+    # the second of three row slices
+    real = corpus_mod.greens_structure
+    changes = (lambda h: np.where(h == 1, 0, h), np.zeros_like, lambda h: np.roll(h, 1))
+    cases = [(S, change) for S in census4 for change in changes]
+    cases += [(sk.gen_standard("left_zero", 1100), lambda h: np.where(h == 1000, 900, h))]
+    failures = 0
+    for S, merge in cases:
+        G = dataclasses.replace(real(S), h_class=merge(real(S).h_class))
+        monkeypatch.setattr(corpus_mod, "greens_structure", lambda S, G=G: G)
+        result = corpus_mod._check_h_meet(S)
+        assert result == h_meet_oracle(G), S.name
+        failures += result is not None
+    assert result == "H != L^R at (900,1000)" and failures > 2 * len(census4)
+
+
+def test_h_meet_check_memory_bounded(monkeypatch):
+    # Z4096: the classes counted from the labels, not three n×n bool
+    # comparisons (80 MB)
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    S = sk.gen_standard("cyclic", 4096)
+    corpus_mod.greens_structure(S)  # kept per semigroup: not this call's cost
+    tracemalloc.start()
+    try:
+        result = corpus_mod._check_h_meet(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is None
+    assert peak < 48 << 20
+
+
+def test_cyclic_table_built_in_one_array(monkeypatch):
+    # Z4096's table is one n×n int64 array (128 MB): the remainder is taken
+    # in place, not into a second array (256 MB traced when it was)
+    monkeypatch.delenv("SEMIKIT_MAX_ORDER", raising=False)
+    tracemalloc.start()
+    try:
+        S = parse_descriptor("cyclic:4096")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 140 << 20
+    assert S.table[4095].tolist() == [4095] + list(range(4095))
+
+
 def test_verify_reports_wrong_classification(monkeypatch, rb22):
     # a row {0, 3} that is no subsemigroup: at e = 0 it has J = W = Gamma = {0}
     real = corpus_mod._subsemigroup_masks
@@ -757,6 +857,32 @@ def test_verify_reports_kernel_not_minimal(monkeypatch, t2):
     report = verify_suite([("t2", t2)])
     failed = {e.check: e.witness for e in report.failures}
     assert failed == {"kernel_unique_minimal": "kernel not minimal: 2 generates a smaller ideal"}
+
+
+def test_verify_reports_kernel_verdict_and_partition(monkeypatch, rb22):
+    # a kernel() whose verdict at e = 2 is flipped, then one whose Se at
+    # e = 0 overlaps another: rb22 is its own kernel, every element idempotent
+    real = corpus_mod.kernel
+
+    def flipped(S):
+        report = real(S)
+        verdicts = report.verdicts.copy()
+        verdicts[2, 1] = False
+        return dataclasses.replace(report, verdicts=verdicts)
+
+    def overlapping(S):
+        report = real(S)
+        se = report.se.copy()
+        se[0, 1] = True
+        return dataclasses.replace(report, se=se)
+
+    for change, witness in (
+        (flipped, "minimal-ideal proposition fails at e=2 in E(K): (True, False, True, True)"),
+        (overlapping, "minimal left ideals do not partition K"),
+    ):
+        monkeypatch.setattr(corpus_mod, "kernel", change)
+        report = verify_suite([("rb22", rb22)])
+        assert {e.check: e.witness for e in report.failures} == {"kernel_unique_minimal": witness}
 
 
 def chain16():

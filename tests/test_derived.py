@@ -34,6 +34,7 @@ def test_cached_members_match_fresh_computation(census4):
             copy = fresh_copy(S)
             assert kernel_members(S) == kernel_members(copy)
             assert sk.is_monoid(S) == sk.is_monoid(copy)
+            assert sk.is_group(S) == sk.is_group(copy)
             assert sk.idempotents(S).members == sk.idempotents(copy).members
             got = [T.members for T in sk.enumerate_subsemigroups(S)]
             assert got == [T.members for T in sk.enumerate_subsemigroups(copy)]
